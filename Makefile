@@ -3,7 +3,7 @@
 
 PY := PYTHONPATH=src$(if $(PYTHONPATH),:$(PYTHONPATH)) python
 
-.PHONY: test conformance perf-smoke perf perf-parallel compare faults-smoke faults obs-smoke rebalance-smoke
+.PHONY: test conformance paper perf-smoke perf compare faults-smoke faults obs-smoke rebalance-smoke
 
 # tier-1 verify: the whole default suite (perf/faults/tpcc markers
 # excluded by pytest.ini)
@@ -16,18 +16,20 @@ test:
 conformance:
 	$(PY) -m pytest tests/test_conformance.py -q -m "not perf and not faults"
 
+# paper-claim gate: every benchmarks/bench_*.py regenerates one table or
+# figure and asserts its qualitative shape (explicit paths: the files do
+# not match pytest's default python_files pattern)
+paper:
+	$(PY) -m pytest benchmarks/bench_*.py -q --benchmark-disable
+
 # perf harness smoke: runs in seconds, fails on any check or any
-# non-gated speedup < 1.0
+# naive-vs-indexed speedup < 1.0
 perf-smoke:
 	$(PY) -m repro.bench --perf-smoke --check
 
 # full perf trajectory run + regression gate (commit BENCH_perf.json)
 perf:
 	$(PY) -m repro.bench --perf --check
-
-# wall-clock parallelism gates (skip with reason on < 4 usable cores)
-perf-parallel:
-	$(PY) -m pytest -m perf -k "parallel or pipelined" -q
 
 # diff the two newest same-mode perf runs; fails on a speedup collapse
 compare:

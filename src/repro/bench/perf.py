@@ -971,176 +971,6 @@ def bench_adversarial_contention(block_size: int, repeats: int, seed: int) -> di
     )
 
 
-def bench_parallel_prepare(smoke: bool, seed: int) -> dict:
-    """Wall-clock gate for the process-pool prepare backend (the tentpole).
-
-    The identical 4-shard low-cross Harmony stream runs twice: once with
-    ``backend="serial"`` (every prepare in-process — the differential
-    reference) and once with ``backend="process"`` + the inter-block
-    pipelined driver. Identity checks pin decisions, state hashes and the
-    certificate head bit-equal; the >=2x wall-clock gate arms only on
-    machines with >= 4 usable cores (``gate_skipped`` records the reason
-    elsewhere — a 1-core box pays IPC overhead for no parallelism, which
-    is not a regression of the code under test).
-    """
-    from repro.parallel.backend import available_cores
-    from repro.shard.system import ShardConfig, ShardedBlockchain
-    from repro.workloads.base import ShardAffinity
-    from repro.workloads.ycsb import YCSBWorkload
-
-    num_blocks = 6 if smoke else 10
-    block_size = 60 if smoke else 100
-    run_seed = seed % 100_000
-
-    def run(backend: str, pipelined: bool):
-        config = ShardConfig(
-            system="harmony",
-            block_size=block_size,
-            num_blocks=num_blocks,
-            seed=run_seed,
-            num_shards=4,
-            backend=backend,
-            pipelined=pipelined,
-        )
-        workload = YCSBWorkload(
-            num_keys=10_000, theta=0.1, affinity=ShardAffinity(4, 0.05)
-        )
-        chain = ShardedBlockchain(config, workload)
-        start = time.perf_counter()
-        metrics = chain.run()
-        wall = time.perf_counter() - start
-        chain.close_backend()
-        return metrics, wall
-
-    serial_metrics, serial_wall = run("serial", False)
-    process_metrics, process_wall = run("process", True)
-
-    cores = available_cores()
-    gated = cores >= 4
-    checks = {
-        "decisions_identical": serial_metrics.extra["decision_digest"]
-        == process_metrics.extra["decision_digest"],
-        "state_identical": serial_metrics.extra["state_hash"]
-        == process_metrics.extra["state_hash"],
-        "cert_head_identical": serial_metrics.extra["cert_head"]
-        == process_metrics.extra["cert_head"],
-        "ledgers_ok": process_metrics.extra["ledger_ok"],
-        "certificates_ok": process_metrics.extra["certificates_ok"],
-        "process_backend_used": process_metrics.extra["backend"] == "process",
-    }
-    gate_skipped = None
-    if gated:
-        # the tentpole acceptance bar: real parallelism must halve wall time
-        checks["wall_speedup_2x"] = serial_wall / process_wall >= 2.0
-    else:
-        gate_skipped = (
-            f"{cores} usable core(s) < 4 — wall gate needs real parallelism"
-        )
-    case = {
-        "case": "parallel_prepare",
-        "params": {
-            "shards": 4,
-            "cross_ratio": 0.05,
-            "block_size": block_size,
-            "num_blocks": num_blocks,
-        },
-        "basis": "wall",
-        "speedup_kind": "wall",
-        "cores": cores,
-        "naive_s": round(serial_wall, 6),
-        "indexed_s": round(process_wall, 6),
-        "naive_sim_s": round(serial_metrics.sim_time_us / 1e6, 6),
-        "indexed_sim_s": round(process_metrics.sim_time_us / 1e6, 6),
-        "speedup": round(serial_wall / process_wall, 2)
-        if process_wall > 0
-        else float("inf"),
-        "checks": checks,
-    }
-    if gate_skipped:
-        case["gate_skipped"] = gate_skipped
-    return case
-
-
-def bench_pipelined_replay(smoke: bool, seed: int) -> dict:
-    """Wall-clock case for pipelined replica replay (recovery fan-out).
-
-    A serially-built 4-shard chain is replayed twice from its sub-ledgers
-    plus certificate stream: the seed's strictly-serial loop vs
-    :func:`repro.parallel.replay.replay_group` (process-pool prepares,
-    commit of block *i−1* overlapped with prepare of block *i*). Both
-    replays must land bit-identical on the live group's combined state
-    hash; the wall gate arms only with >= 4 usable cores.
-    """
-    from repro.parallel.backend import available_cores
-    from repro.parallel.replay import replay_group, replay_group_serial
-    from repro.shard.system import ShardConfig, ShardedBlockchain
-    from repro.workloads.base import ShardAffinity
-    from repro.workloads.ycsb import YCSBWorkload
-
-    num_blocks = 6 if smoke else 10
-    block_size = 60 if smoke else 100
-    run_seed = seed % 100_000
-    config = ShardConfig(
-        system="harmony",
-        block_size=block_size,
-        num_blocks=num_blocks,
-        seed=run_seed,
-        num_shards=4,
-    )
-    workload = YCSBWorkload(num_keys=10_000, theta=0.1, affinity=ShardAffinity(4, 0.05))
-    chain = ShardedBlockchain(config, workload)
-    chain.run()
-
-    start = time.perf_counter()
-    serial_replica = replay_group_serial(chain)
-    serial_wall = time.perf_counter() - start
-
-    # the live run stays on the serial reference path; only the replay
-    # under test gets the process backend
-    chain.config.backend = "process"
-    start = time.perf_counter()
-    parallel_replica = replay_group(chain, pipelined=True)
-    parallel_wall = time.perf_counter() - start
-
-    live_hash = chain.group.combined_state_hash()
-    cores = available_cores()
-    gated = cores >= 4
-    checks = {
-        "serial_replay_matches_live": serial_replica.combined_state_hash()
-        == live_hash,
-        "parallel_replay_matches_live": parallel_replica.combined_state_hash()
-        == live_hash,
-        "ledgers_ok": parallel_replica.ledgers_ok(),
-    }
-    gate_skipped = None
-    if gated:
-        checks["wall_speedup"] = serial_wall / parallel_wall >= 1.2
-    else:
-        gate_skipped = (
-            f"{cores} usable core(s) < 4 — wall gate needs real parallelism"
-        )
-    case = {
-        "case": "pipelined_replay",
-        "params": {
-            "shards": 4,
-            "block_size": block_size,
-            "num_blocks": num_blocks,
-        },
-        "basis": "wall",
-        "speedup_kind": "wall",
-        "cores": cores,
-        "naive_s": round(serial_wall, 6),
-        "indexed_s": round(parallel_wall, 6),
-        "speedup": round(serial_wall / parallel_wall, 2)
-        if parallel_wall > 0
-        else float("inf"),
-        "checks": checks,
-    }
-    if gate_skipped:
-        case["gate_skipped"] = gate_skipped
-    return case
-
-
 def bench_obs_overhead(smoke: bool, seed: int) -> dict:
     """Overhead gate for the tracing/metrics subsystem.
 
@@ -1187,7 +1017,6 @@ def bench_obs_overhead(smoke: bool, seed: int) -> dict:
             start = time.perf_counter()
             metrics = chain.run()
             wall = time.perf_counter() - start
-            chain.close_backend()
             best_wall = wall if best_wall is None else min(best_wall, wall)
         return metrics, tracer, best_wall
 
@@ -1280,7 +1109,6 @@ def bench_adaptive_skew(smoke: bool, seed: int) -> dict:
         metrics = chain.run()
         wall = time.perf_counter() - start
         replica_ok = chain.consistency_check()
-        chain.close_backend()
         return metrics, wall, replica_ok
 
     static, static_wall, static_replica_ok = run("off")
@@ -1368,7 +1196,6 @@ def bench_scan_footprints(smoke: bool, seed: int) -> dict:
         start = time.perf_counter()
         metrics = chain.run()
         wall = time.perf_counter() - start
-        chain.close_backend()
         return metrics, wall
 
     broadcast, broadcast_wall = run(False)
@@ -1478,8 +1305,6 @@ def run_perf(smoke: bool = False, out_path: str | None = None) -> dict:
         cases.append(bench_checkpoint_delta(100_000, 10, 500, repeats, seed + 13))
         cases.append(bench_federated_scan(scan_keys, 4, 2_048, repeats, seed + 14))
     cases.extend(bench_shard_scaling(smoke, seed))
-    cases.append(bench_parallel_prepare(smoke, seed + 15))
-    cases.append(bench_pipelined_replay(smoke, seed + 16))
     cases.extend(bench_tpcc_sharded(smoke, seed + 17))
     cases.append(bench_adversarial_contention(60 if smoke else 150, repeats, seed + 18))
     cases.append(bench_obs_overhead(smoke, seed + 19))
@@ -1513,11 +1338,7 @@ def regressed_cases(run: dict) -> list[str]:
       ``throughput_2x`` checks;
     - ``speedup_kind="overhead"`` cases (``obs_overhead``) — their ratio is
       expected ~1.0 and gated by ``overhead_under_5pct``, not by the
-      faster-than-naive rule;
-    - cases whose wall gate is skipped (``gate_skipped`` set — e.g. the
-      process-backend cases on a <4-core machine, where IPC overhead
-      without parallelism is expected, not a regression). Their identity
-      checks still count toward ``all_checks_pass``.
+      faster-than-naive rule.
     """
     return [
         f"{case['case']}({','.join(f'{k}={v}' for k, v in case['params'].items())})"
@@ -1526,7 +1347,6 @@ def regressed_cases(run: dict) -> list[str]:
         if case["speedup"] < 1.0
         and case["case"] != "shard_scaling"
         and case.get("speedup_kind") not in ("throughput", "overhead")
-        and not case.get("gate_skipped")
     ]
 
 
@@ -1567,9 +1387,6 @@ def compare_last_runs(
       behavioural change, so they stay strict single-run diffs with no
       noise guard.
 
-    Cases whose wall gate was skipped (``gate_skipped`` — process-backend
-    cases on a <4-core machine) are never regressions: their wall ratio
-    measures IPC overhead on hardware the gate explicitly excludes.
     Same-mode runs only, so smoke and full trajectories never
     cross-contaminate; cases present in just one run (or younger than the
     window) are reported but never fail the diff.
@@ -1635,9 +1452,7 @@ def compare_last_runs(
             new_indexed, old_indexed = case.get("indexed_s"), old.get("indexed_s")
         ratio = new_speedup / old_speedup if old_speedup else float("inf")
         collapsed = ratio < 1.0 - collapse
-        if collapsed and case.get("gate_skipped"):
-            collapsed = False
-        elif collapsed and wall and new_indexed is not None and old_indexed is not None:
+        if collapsed and wall and new_indexed is not None and old_indexed is not None:
             collapsed = old_indexed <= 0 or (
                 new_indexed / old_indexed > 1.0 + collapse
                 and new_indexed - old_indexed > floor_s

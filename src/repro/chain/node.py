@@ -43,14 +43,6 @@ class ReplicaNode:
         self.engine.log_block_input(block)
         return block.build_txns(), verify_cost
 
-    def ingest_block(self, block: Block) -> tuple[list[Txn], float]:
-        """Ingest without executing — the process-prepare backend's main-side
-        half: the ledger/block log stay authoritative here while a worker
-        process runs the executor's ``prepare_block`` on its own replica of
-        the state. Returns the instantiated transactions (discarded by that
-        path — the worker's copies carry the decisions) and the verify cost."""
-        return self._ingest_block(block)
-
     def clone_executor(self, engine) -> DCCExecutor:
         """A fresh executor of this node's type and configuration bound to
         ``engine`` — the recovery path's replica-rebuild hook. Each

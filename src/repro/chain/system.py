@@ -59,6 +59,10 @@ def decision_digest(per_block_txns) -> str:
     return sha256_hex(";".join(parts).encode())
 
 
+#: ordering services a config may name
+CONSENSUS_PROTOCOLS = frozenset({"kafka", "hotstuff"})
+
+
 @dataclass
 class OEConfig:
     """Configuration of one Order-Execute system run."""
@@ -85,21 +89,20 @@ class OEConfig:
     #: clients resubmit aborted transactions; retries consume block slots,
     #: so high-abort protocols pay for their aborts in throughput
     retry_aborted: bool = True
-    #: prepare backend: ``"serial"`` runs every prepare in-process (the
-    #: differential reference); ``"process"`` fans per-shard
-    #: ``prepare_block`` calls out to a ``ProcessPoolExecutor`` pool
-    #: (``repro.parallel``) — decisions, state hashes and certificates are
-    #: bit-identical, only wall-clock changes. Fault-armed runs fall back
-    #: to serial automatically so injected hooks keep firing in-process.
-    backend: str = "serial"
-    #: worker processes for ``backend="process"`` (``None`` = one per shard)
-    backend_workers: int | None = None
-    #: overlap block N+1's prepare with block N's commit (the paper's
-    #: inter-block pipelining, on real cores). Takes effect with
-    #: ``backend="process"`` on executors whose snapshot lag >= 2
-    #: (Harmony with ``inter_block``); otherwise runs identically to the
-    #: sequential driver.
-    pipelined: bool = False
+
+    def __post_init__(self) -> None:
+        """Fail loudly on configs that would otherwise run silently as
+        something else (an unknown consensus falls through to Kafka) or as
+        an empty run."""
+        if self.consensus not in CONSENSUS_PROTOCOLS:
+            raise ValueError(
+                f"unknown consensus {self.consensus!r}; "
+                f"have {sorted(CONSENSUS_PROTOCOLS)}"
+            )
+        for name in ("block_size", "num_blocks", "num_replicas"):
+            value = getattr(self, name)
+            if value < 1:
+                raise ValueError(f"{name} must be >= 1, got {value}")
 
 
 def append_block_latencies(
@@ -187,22 +190,7 @@ class OEBlockchain:
     def _inter_block_enabled(self) -> bool:
         return self.config.system == "harmony" and self.config.harmony.inter_block
 
-    def _pipelined_ready(self) -> bool:
-        """Whether the pipelined process-backend driver applies: requested,
-        and the executor's snapshot lag legalizes preparing block *i*
-        before block *i-1*'s commit (Harmony inter-block)."""
-        return (
-            self.config.pipelined
-            and self.config.backend == "process"
-            and self._inter_block_enabled()
-            and self.config.harmony.effective_lag >= 2
-        )
-
     def run(self) -> RunMetrics:
-        if self._pipelined_ready():
-            from repro.parallel.pipeline import run_oe_pipelined
-
-            return run_oe_pipelined(self)
         config = self.config
         rng = SeededRng(config.seed, f"oe/{config.system}/{self.workload.name}")
         metrics = RunMetrics(system=config.system, workload=self.workload.name)
@@ -234,8 +222,6 @@ class OEBlockchain:
         return self._finalize_metrics(metrics, timings, executions, interval)
 
     # ------------------------------------------------- run bookkeeping
-    # Shared with the pipelined driver (repro.parallel.pipeline) so the
-    # two paths can never drift in how an execution is accounted.
     def _absorb_execution(
         self, metrics, timings, executions, i, interval, execution
     ) -> None:

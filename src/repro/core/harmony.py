@@ -15,7 +15,6 @@ or Rule 3 with inter-block parallelism) → reorder & coalesce updates
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 
 from repro.core.reordering import apply_write_sets
@@ -40,7 +39,7 @@ def fence_migrated_keys(txns: list[Txn], fence: frozenset) -> None:
     which the new routing no longer consults — an inter-block validator
     would silently miss the edges. The fence closes that hole: touching
     transactions abort at exactly the boundary block, on every replica and
-    every backend identically, and retry under the settled ownership.
+    every replay identically, and retry under the settled ownership.
     """
     for txn in txns:
         if txn.aborted:
@@ -172,22 +171,7 @@ class HarmonyExecutor(DCCExecutor):
         """Reinstate Rule-3 records after recovery from a checkpoint."""
         self._prev_records = records or PrevBlockRecords()
 
-    # -- process-backend hooks ----------------------------------------------
-    def detach_prepared(self, prepared: PreparedBlock) -> PreparedBlock:
-        """Drop the dependency index before shipping: it is pure derived
-        data and ``apply_write_sets`` rebuilds it bit-identically when the
-        payload arrives with ``dep_index=None`` (the PR-3 differential
-        pins that), so only the decision facts cross the pipe."""
-        vstats = prepared.payload
-        if vstats is not None and vstats.dep_index is not None:
-            prepared = dataclasses.replace(
-                prepared, payload=dataclasses.replace(vstats, dep_index=None)
-            )
-        return prepared
-
-    def export_prepare_state(self) -> dict:
-        return {"prev_records": self._prev_records}
-
+    # -- inter-block replay hooks -------------------------------------------
     def import_prepare_state(self, state: dict) -> None:
         self.restore_records(state.get("prev_records"))
 
@@ -199,8 +183,8 @@ class HarmonyExecutor(DCCExecutor):
         ``commit_block`` derives ``_prev_records`` from the transactions'
         final statuses, which are fully determined once the certificate's
         vetoes are known — marking them here and again in the commit is
-        idempotent, so the pipelined driver can hand the records to the
-        next block's prepare before this block's physical commit runs.
+        idempotent, so pipelined recovery replay can hand the records to
+        the next block's prepare before this block's physical commit runs.
         """
         txns = prepared.txns
         self.force_aborts(txns, abort_tids)

@@ -57,22 +57,6 @@ class AriaExecutor(DCCExecutor):
     def clone_args(self) -> tuple:
         return (self.deterministic_reordering, self.indexed)
 
-    # -- process-backend hooks ----------------------------------------------
-    def detach_prepared(self, prepared: PreparedBlock) -> PreparedBlock:
-        """The payload embeds the block snapshot (a live store view); drop
-        it for the pipe — the main process's multi-version store retains
-        the same height, so :meth:`attach_prepared` rebuilds it exactly."""
-        _snapshot, committed = prepared.payload
-        prepared.payload = (None, committed)
-        return prepared
-
-    def attach_prepared(self, prepared: PreparedBlock) -> PreparedBlock:
-        snapshot, committed = prepared.payload
-        if snapshot is None:
-            lag = prepared.block_id - prepared.snapshot_block_id
-            prepared.payload = (self.snapshot_for(prepared.block_id, lag), committed)
-        return prepared
-
     def prepare_block(self, block_id: int, txns: list[Txn]) -> PreparedBlock:
         """Simulate, reserve and decide — Aria's whole validation phase is
         reservation-table lookups, so the local vote falls out here; writes

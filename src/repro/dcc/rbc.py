@@ -78,24 +78,6 @@ class RBCExecutor(DCCExecutor):
             payload=(snapshot, validation_costs),
         )
 
-    # -- process-backend hooks ----------------------------------------------
-    def detach_prepared(self, prepared: PreparedBlock) -> PreparedBlock:
-        """Drop the embedded snapshot view for the pipe; the main store
-        retains the height and :meth:`attach_prepared` rebinds it."""
-        _snapshot, validation_costs = prepared.payload
-        prepared.payload = (None, validation_costs)
-        return prepared
-
-    def attach_prepared(self, prepared: PreparedBlock) -> PreparedBlock:
-        snapshot, validation_costs = prepared.payload
-        if snapshot is None:
-            lag = prepared.block_id - prepared.snapshot_block_id
-            prepared.payload = (
-                self.snapshot_for(prepared.block_id, lag),
-                validation_costs,
-            )
-        return prepared
-
     def commit_block(
         self, prepared: PreparedBlock, abort_tids: frozenset = frozenset()
     ) -> BlockExecution:

@@ -248,44 +248,27 @@ class DCCExecutor:
         """Whether ``key`` is locally owned (always true unsharded)."""
         return self.key_scope is None or self.key_scope(key)
 
-    # -- process-backend hooks ----------------------------------------------
-    # The process-pool prepare backend (``repro.parallel``) runs
-    # ``prepare_block`` in a worker process and ships the ``PreparedBlock``
-    # back over a pipe. Executors whose prepare payload embeds live store
-    # views override ``detach_prepared`` (strip the unpicklable/heavy parts
-    # worker-side) and ``attach_prepared`` (rebuild them on the main
-    # process, whose stores are at least at the prepare height). Executors
-    # with cross-block prepare state (Harmony's Rule-3 records) override
-    # the ``export``/``import`` pair so the worker validates against the
-    # identical inter-block facts. The defaults are the no-op identity:
-    # stateless executors need nothing.
-    def detach_prepared(self, prepared: PreparedBlock) -> PreparedBlock:
-        """Make ``prepared`` picklable/cheap to ship (worker side)."""
-        return prepared
-
-    def attach_prepared(self, prepared: PreparedBlock) -> PreparedBlock:
-        """Rebind a shipped ``prepared`` to this executor's stores."""
-        return prepared
-
-    def export_prepare_state(self) -> dict:
-        """Cross-block decision state the next ``prepare_block`` needs."""
-        return {}
-
+    # -- inter-block replay hooks -------------------------------------------
+    # Executors with cross-block prepare state (Harmony's Rule-3 records)
+    # override this pair so pipelined recovery replay can validate block
+    # *i+1* against block *i*'s decided facts before block *i*'s physical
+    # commit runs. The defaults are no-ops: stateless executors need
+    # nothing.
     def import_prepare_state(self, state: dict) -> None:
-        """Install state captured by :meth:`export_prepare_state`."""
+        """Install state returned by :meth:`decided_prepare_state`."""
 
     def decided_prepare_state(
         self, prepared: PreparedBlock, abort_tids: frozenset
     ) -> dict:
         """The prepare state *after* this block's decision is final.
 
-        Equals what :meth:`export_prepare_state` would return once
+        Equals the executor's cross-block state once
         ``commit_block(prepared, abort_tids)`` has run — but computable at
-        certificate time, before the physical commit. The pipelined driver
-        uses it to ship block *i*'s decision facts to the worker preparing
-        block *i+1* while block *i* is still committing. Must be
-        idempotent with the commit's own bookkeeping (it marks the same
-        transaction objects the commit later marks again).
+        certificate time, before the physical commit. Pipelined recovery
+        replay (:func:`~repro.shard.recovery.recover_shard_node`) imports
+        it to prepare block *i+1* while block *i*'s commit is deferred.
+        Must be idempotent with the commit's own bookkeeping (it marks the
+        same transaction objects the commit later marks again).
         """
         return {}
 

@@ -104,7 +104,6 @@ def _build_chain(
     num_shards: int,
     plan: FaultPlan,
     block_size: int,
-    backend: str,
     workload_name: str = "smallbank",
     rebalance: bool = False,
 ):
@@ -140,7 +139,6 @@ def _build_chain(
         seed=plan.seed,
         checkpoint_interval=2,
         checkpoint_base_interval=2,
-        backend=backend,
         **extra,
     )
     return ShardedBlockchain(config, workload)
@@ -177,21 +175,15 @@ def run_drill(
     result = DrillResult(
         plan=plan, scheme=scheme, num_shards=num_shards, workload=workload
     )
-    # the disturbed chain *asks* for the process backend: fault hooks armed
-    # by the supervisor force the serial fallback, which is exactly the
-    # auto-fallback contract under drill — injected faults keep firing
-    # in-process, and the run stays bit-comparable to the serial reference.
     rebalance = any(e.kind in MIGRATION_KINDS for e in plan.events)
     disturbed = _build_chain(
-        scheme, num_shards, plan, block_size, "process", workload, rebalance
+        scheme, num_shards, plan, block_size, workload, rebalance
     )
     if tracer is not None:
         from repro.obs.trace import attach_tracer
 
         attach_tracer(disturbed, tracer)
-    reference = _build_chain(
-        scheme, num_shards, plan, block_size, "serial", workload, rebalance
-    )
+    reference = _build_chain(scheme, num_shards, plan, block_size, workload, rebalance)
     supervisor = SupervisedShardGroup(
         disturbed, FaultInjector(plan, num_shards), policy
     )

@@ -5,7 +5,7 @@ that costs one attribute check when no plan is armed:
 
 - ``ShardedBlockchain.fault_hook`` — the crash-point callback consulted by
   :meth:`~repro.shard.system.ShardedBlockchain.process_global_block`
-  (generalizes the deprecated ``crash_after_prepare=`` kwarg);
+  (``hook(block_id) -> (skip_prepare, skip_commit) | None``);
 - ``ShardedBlockchain.vote_channel`` — the vote-exchange wire
   (:class:`FaultyVoteChannel` drops / duplicates / delays per plan);
 - ``CheckpointManager.fault_hook`` — skips or tears checkpoint writes;

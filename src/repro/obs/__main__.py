@@ -3,7 +3,7 @@
 Usage::
 
     python -m repro.obs trace --out trace.jsonl            # seeded run
-    python -m repro.obs trace --out t.jsonl --shards 4 --backend process
+    python -m repro.obs trace --out t.jsonl --shards 4 --wall
     python -m repro.obs trace --out t.jsonl --plan vote-drop   # fault drill
     python -m repro.obs report trace.jsonl --top 8         # render tables
     python -m repro.obs smoke                              # CI gate
@@ -53,7 +53,6 @@ def _cmd_trace(args) -> int:
             num_blocks=args.blocks,
             block_size=args.block_size,
             seed=args.seed,
-            backend=args.backend,
             wall=args.wall,
         )
         print(
@@ -139,9 +138,6 @@ def main(argv: list[str]) -> int:
     trace_p.add_argument("--blocks", type=int, default=8)
     trace_p.add_argument("--block-size", type=int, default=8)
     trace_p.add_argument("--seed", type=int, default=61)
-    trace_p.add_argument(
-        "--backend", choices=("serial", "process"), default="serial"
-    )
     trace_p.add_argument(
         "--plan", default=None, help="fault plan name: trace a drill instead"
     )

@@ -27,7 +27,6 @@ def trace_run(
     num_blocks: int = 8,
     block_size: int = 8,
     seed: int = 61,
-    backend: str = "serial",
     wall: bool = False,
 ):
     """One seeded sharded run with tracing armed; returns (tracer, metrics)."""
@@ -39,7 +38,6 @@ def trace_run(
         block_size=block_size,
         num_blocks=num_blocks,
         seed=seed,
-        backend=backend,
     )
     chain = ShardedBlockchain(config, build_workload(workload, num_shards))
     tracer = Tracer(
@@ -51,16 +49,11 @@ def trace_run(
             "blocks": num_blocks,
             "block_size": block_size,
             "seed": seed,
-            "backend": backend,
         },
         wall=wall,
     )
     attach_tracer(chain, tracer)
-    try:
-        metrics = chain.run()
-    finally:
-        chain.close_backend()
-    return tracer, metrics
+    return tracer, chain.run()
 
 
 def trace_drill(

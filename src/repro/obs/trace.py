@@ -7,15 +7,12 @@ shard, stage, attempt — carrying **two clocks**:
   decision-layer quantities (counts, certificate data, NetworkModel
   costs, retry schedules). The ordered stream of these fields — the
   *decision-relevant span stream*, :func:`det_events` — is bit-identical
-  across serial vs process prepare backends and across repeated seeded
-  runs, so the trace itself is a correctness artifact
-  (:func:`det_digest` pins it).
-- ``timing``: annotations — engine-simulated durations (which legally
-  differ across backends: a worker engine's buffer pool sees only
-  prepare reads) and optional wall-clock stamps (``wall=True``). Spans
-  of kind ``"anno"`` are excluded from the deterministic stream
-  entirely (e.g. process-backend shipping events, which have no serial
-  counterpart).
+  across repeated seeded runs, so the trace itself is a correctness
+  artifact (:func:`det_digest` pins it).
+- ``timing``: annotations — engine-simulated durations (cost-model
+  output, not decisions) and optional wall-clock stamps (``wall=True``).
+  Spans of kind ``"anno"`` are excluded from the deterministic stream
+  entirely (e.g. run summaries, which carry only timing).
 
 Instrumentation follows the fault-hook pattern from ``repro.faults``: a
 pipeline object's ``tracer`` attribute defaults to ``None`` and every
@@ -87,8 +84,8 @@ class Span:
 def det_events(spans: list[Span]) -> list[dict]:
     """The decision-relevant span stream: every non-anno span's
     deterministic fields, in emission order (``seq`` and ``timing`` are
-    deliberately excluded — annotation spans interleave differently
-    across backends without perturbing this stream)."""
+    deliberately excluded, so annotation spans can be added or dropped
+    without perturbing this stream)."""
     return [
         {
             "name": s.name,
@@ -179,10 +176,9 @@ def _arm_node(node, tracer: Tracer, shard: int | None) -> None:
 def attach_tracer(chain, tracer: Tracer) -> Tracer:
     """Arm ``tracer`` on every hook of an (un)sharded chain.
 
-    Wires the chain itself, the certificate log, every node's checkpoint
-    manager (re-armed on rejoin, so recovered shards keep tracing), and
-    the process-prepare backend if one is already built
-    (``_ensure_backend`` arms later-built ones from ``chain.tracer``).
+    Wires the chain itself, the certificate log and every node's
+    checkpoint manager (re-armed on rejoin, so recovered shards keep
+    tracing).
     """
     chain.tracer = tracer
     cert_log = getattr(chain, "cert_log", None)
@@ -197,7 +193,4 @@ def attach_tracer(chain, tracer: Tracer) -> Tracer:
         )
     else:
         _arm_node(chain.node, tracer, None)
-    backend = getattr(chain, "_prepare_backend", None)
-    if backend is not None:
-        backend.tracer = tracer
     return tracer

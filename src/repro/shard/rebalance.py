@@ -14,7 +14,7 @@ module closes the loop from *observed* load back to routing:
   certificate log as a first-class, hash-covered field of the boundary
   block's :class:`~repro.shard.twopc.CommitCertificate`. Because every
   replica, :func:`~repro.shard.recovery.recover_shard_node`, and
-  :func:`~repro.parallel.replay.replay_group` already index the
+  :func:`~repro.shard.recovery.replay_group_serial` already index the
   certificate stream positionally, they all apply the identical
   migration at the identical height — the same trick the 2PC decisions
   use.
@@ -23,8 +23,7 @@ module closes the loop from *observed* load back to routing:
   same quantities ``repro.obs.analyze.shard_skew`` reports) and proposes
   key moves. Inputs are *decision-layer only* — counts accumulated while
   routing, never timing annotations — so the disturbed and reference
-  sides of a fault drill, and the serial and process prepare backends,
-  fire bit-identical migrations.
+  sides of a fault drill fire bit-identical migrations.
 
 Physical shipment happens at the ``H-1 -> H`` block boundary: the moved
 keys' latest versions are loaded into the destination store as a version

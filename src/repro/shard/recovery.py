@@ -13,6 +13,10 @@ Cross-shard reads during replay resolve against the *peers'* multi-version
 stores at the historical block heights — block-locked advancement means
 those snapshots are globally well-defined, and the version chains retain
 them.
+
+:func:`replay_group_serial` rebuilds a whole shard group from the same
+artifacts (every sub-ledger plus the certificate stream); it backs
+:meth:`~repro.shard.system.ShardedBlockchain.consistency_check`.
 """
 
 from __future__ import annotations
@@ -26,6 +30,7 @@ from repro.core.harmony import HarmonyExecutor
 from repro.shard.federated import FederatedSnapshot
 from repro.shard.rebalance import migration_store_deltas
 from repro.shard.router import ShardRouter
+from repro.shard.system import ShardGroup
 from repro.shard.twopc import CertificateLog
 from repro.sim.scheduler import BlockTiming, replay_lanes
 
@@ -70,10 +75,10 @@ def recover_shard_node(
     >= 2 (Harmony inter-block), replay interleaves block *i*'s prepare with
     block *i−1*'s commit: the decisions come from the certificate stream,
     so block *i* validates against block *i−1*'s *decided* records before
-    that block's physical commit runs — the same legality argument as the
-    live pipeline (:mod:`repro.parallel.pipeline`), and bit-identical state
-    either way. ``replay_sim`` on the result reports the modeled makespan
-    of both disciplines on a ``cores``-core replica.
+    that block's physical commit runs — the same snapshot-lag legality
+    argument as the scheduler's inter-block overlap, and bit-identical
+    state either way. ``replay_sim`` on the result reports the modeled
+    makespan of both disciplines on a ``cores``-core replica.
     """
     engine, replay_from, checkpoint = rebuild_engine(crashed.engine)
     executor = crashed.clone_executor(engine)
@@ -120,13 +125,12 @@ def recover_shard_node(
                 )
             if certificate.migration is not None:
                 # migration barrier: the record ships key versions inside
-                # block i-1, so a deferred commit must land first (same
-                # discipline as the live pipelined driver); commit_block
-                # re-derives the decided records, so the subsequent
-                # prepare sees the identical state either way. Records at
-                # or below ``replay_from`` are baked into the checkpoint
-                # (the engine buffers migration loads for the delta chain)
-                # and never reach this branch.
+                # block i-1, so a deferred commit must land first;
+                # commit_block re-derives the decided records, so the
+                # subsequent prepare sees the identical state either way.
+                # Records at or below ``replay_from`` are baked into the
+                # checkpoint (the engine buffers migration loads for the
+                # delta chain) and never reach this branch.
                 if pending is not None:
                     prev_prepared, prev_aborts = pending
                     execution = executor.commit_block(prev_prepared, prev_aborts)
@@ -213,3 +217,60 @@ def _replay_timing(execution) -> BlockTiming:
         pre_exec_serial_us=execution.pre_exec_serial_us,
         post_commit_serial_us=execution.post_commit_serial_us,
     )
+
+
+def replay_group_serial(chain, name_prefix: str = "replay-serial") -> ShardGroup:
+    """A fresh :class:`ShardGroup` rebuilt from ``chain``'s sub-ledgers and
+    certificate stream, every block prepared and committed in-process,
+    shard after shard.
+
+    Migration-aware: the fresh group splits genesis at epoch 0, and each
+    certified :class:`~repro.shard.rebalance.MigrationRecord` re-applies at
+    exactly its recorded height — the cursor save/restore keeps the shared
+    router usable by the live chain afterwards.
+    """
+    router = chain.router
+    saved_height = router.cursor_height
+    router.advance_to(0)
+    try:
+        other = ShardGroup(
+            chain.config,
+            chain.workload,
+            router,
+            chain.costs,
+            chain.orderer_signer,
+            name_prefix=name_prefix,
+        )
+        height = len(chain.group.nodes[0].ledger)
+        for i in range(height):
+            router.advance_to(i)
+            cert = chain.cert_log[i]
+            if cert.migration is not None:
+                _apply_replay_migration(other, router, cert.migration)
+            sub_blocks = {
+                shard: node.ledger[i] for shard, node in enumerate(chain.group.nodes)
+            }
+            prepared = other.prepare(sub_blocks)
+            other.finish(prepared, cert.abort_tids)
+        return other
+    finally:
+        router.advance_to(saved_height)
+
+
+def _apply_replay_migration(group: ShardGroup, router, record) -> None:
+    """Install a certified migration's store deltas on a replaying group.
+
+    The shared router's ownership table already holds every epoch (replay
+    reuses the live chain's router), so only the per-store shipment at the
+    ``block_id - 1`` boundary happens here — cursor movement is the replay
+    loop's job.
+    """
+    fence = frozenset(dict(record.moves))
+    for node in group.nodes:
+        node.executor.migration_fences[record.block_id] = fence
+    incoming, outgoing = migration_store_deltas(record, router)
+    boundary = record.block_id - 1
+    for shard in sorted(set(incoming) | set(outgoing)):
+        items = dict(outgoing.get(shard, ()))
+        items.update(incoming.get(shard, ()))
+        group.nodes[shard].engine.apply_migration(boundary, items)

@@ -101,9 +101,7 @@ class ShardConfig(OEConfig):
 
 
 def build_router(config: ShardConfig, workload) -> ShardRouter:
-    """The deterministic router for ``config`` — module-level so worker
-    processes of the parallel prepare backend rebuild the identical
-    routing from (config, workload) alone."""
+    """The deterministic router for ``config``."""
     if config.router_policy == "workload":
         router = ShardRouter.for_workload(workload, config.num_shards)
     elif config.router_policy == "range":
@@ -138,14 +136,14 @@ class GlobalBlockOutcome:
     cross_tids: set
     sub_blocks: dict
     certificate: object
-    #: shard -> BlockExecution; crashed shards (``crash_after_prepare``)
-    #: have no entry — they voted but never committed
+    #: shard -> BlockExecution; shards crashed by the fault hook have no
+    #: entry — they voted but never committed
     executions: dict
 
 
 @dataclass
 class _ShardedRunState:
-    """Accumulators shared by the sequential and pipelined run drivers."""
+    """Accumulators of one :meth:`ShardedBlockchain.run`."""
 
     metrics: RunMetrics
     interval: float
@@ -205,8 +203,7 @@ class ShardGroup:
         #: peers re-point at a recovered store without rewiring
         self._stores: list | None = None
         #: ``listener(shard, node)`` callbacks fired by :meth:`rejoin` —
-        #: the process-prepare backend registers one so worker-side store
-        #: caches are invalidated whenever a recovered shard re-enters
+        #: the tracer registers one so recovered shards keep tracing
         self.rejoin_listeners: list = []
         if config.num_shards > 1:
             stores = [node.engine.store for node in self.nodes]
@@ -300,7 +297,7 @@ class ShardedBlockchain:
         self.orderer_signer = Signer("ordering-service")
         self.ordering = OrderingService(self.orderer_signer)
         self.sequencer = ShardSequencer(config.num_shards, self.orderer_signer)
-        self.router = self._build_router()
+        self.router = build_router(config, workload)
         self.group = ShardGroup(
             config, workload, self.router, self.costs, self.orderer_signer
         )
@@ -344,79 +341,6 @@ class ShardedBlockchain:
         #: (the default) costs one attribute check per emission site.
         #: Armed by :func:`repro.obs.trace.attach_tracer`.
         self.tracer = None
-        #: the process-pool prepare backend (``config.backend="process"``),
-        #: built lazily on the first fault-free block; ``None`` = serial
-        self._prepare_backend = None
-        #: sticky serial fallback: set when a fault directive fires (the
-        #: injected hooks must run in-process) and cleared by rejoin,
-        #: which resyncs the workers' store caches
-        self._backend_suspended = False
-        self.group.rejoin_listeners.append(self._on_rejoin)
-
-    # ------------------------------------------------------ prepare backend
-    def _backend_lag(self) -> int:
-        if self.config.system == "harmony":
-            return self.config.harmony.effective_lag
-        return 1
-
-    def _ensure_backend(self):
-        """The process prepare backend, or ``None`` for the serial path.
-
-        Fault-armed chains (hooks or a vote channel installed) never get a
-        backend: injected faults must fire inside this process, so they
-        auto-fall back to the serial reference path.
-        """
-        if (
-            self.config.backend != "process"
-            or self._backend_suspended
-            or self.fault_hook is not None
-            or self.vote_channel is not None
-        ):
-            return None
-        if self._prepare_backend is None:
-            from repro.parallel.backend import make_prepare_backend
-
-            self._prepare_backend = make_prepare_backend(
-                self.config, self.workload, self.config.num_shards
-            )
-            if self._prepare_backend is None:
-                self._backend_suspended = True  # unsupported scheme: stay serial
-            elif self.tracer is not None:
-                self._prepare_backend.tracer = self.tracer
-        return self._prepare_backend
-
-    def _suspend_backend(self) -> None:
-        """Serial fallback until a rejoin resyncs the worker caches."""
-        if self.config.backend == "process":
-            self._backend_suspended = True
-
-    def _on_rejoin(self, shard: int, node: ReplicaNode) -> None:
-        """Rejoin listener: the serial fallback window recorded every
-        committed block's per-shard deltas (:meth:`advance_partial`), so
-        only shards that missed commits — plus the recovered shard, whose
-        store was rebuilt — need their worker caches re-shipped; the rest
-        catch up incrementally from the delta log. Then lift the fallback."""
-        backend = self._prepare_backend
-        if backend is None:
-            return
-        backend.rejoin_resync(
-            shard,
-            [n.engine.store for n in self.group.nodes],
-            lag=self._backend_lag(),
-        )
-        if self.fault_hook is None and self.vote_channel is None:
-            self._backend_suspended = False
-
-    def close_backend(self) -> None:
-        """Shut the worker pools down (idempotent); the chain stays usable
-        on the serial path."""
-        if self._prepare_backend is not None:
-            self._prepare_backend.close()
-            self._prepare_backend = None
-        self._suspend_backend()
-
-    def _build_router(self) -> ShardRouter:
-        return build_router(self.config, self.workload)
 
     # ------------------------------------------------------------------ run
     def _block_bytes(self) -> int:
@@ -443,11 +367,10 @@ class ShardedBlockchain:
         )
 
     # -------------------------------------------------------------- tracing
-    # Span emission helpers, shared by the sequential driver, the pipelined
-    # driver and the fault supervisor (which runs prepare/commit itself).
-    # Deterministic fields only carry decision-layer quantities; engine sim
-    # durations (which legally differ across prepare backends) ride in the
-    # ``timing`` annotation dict. Every per-shard loop iterates sorted shard
+    # Span emission helpers, shared by the run driver and the fault
+    # supervisor (which runs prepare/commit itself). Deterministic fields
+    # only carry decision-layer quantities; engine sim durations ride in
+    # the ``timing`` annotation dict. Every per-shard loop iterates sorted shard
     # ids so the span order is independent of dict iteration order.
     def _trace_order(
         self, tracer, block, cross_tids, sub_blocks, skip_prepare, skip_commit
@@ -508,8 +431,8 @@ class ShardedBlockchain:
     def plan_rebalance(self, block_id: int):
         """The armed policy's proposal for the start of ``block_id``
         (telemetry through ``block_id - 1``), or ``None``. Side-effect-free
-        so the pipelined driver can drain its in-flight block between the
-        plan and the commit."""
+        so the fault supervisor can land in-flight work between the plan
+        and the commit."""
         policy = self.rebalance_policy
         if policy is None:
             return None
@@ -517,9 +440,9 @@ class ShardedBlockchain:
 
     def commit_rebalance(self, block_id: int, proposal):
         """Materialize ``proposal`` into the certified record and install
-        it (router, stores, worker caches). Every shard's store must be at
-        height ``block_id - 1`` — the pipelined driver and the fault
-        supervisor enforce that barrier before calling."""
+        it (router, stores). Every shard's store must be at height
+        ``block_id - 1`` — the fault supervisor enforces that barrier
+        before calling."""
         router = self.router
         nodes = self.group.nodes
 
@@ -538,9 +461,7 @@ class ShardedBlockchain:
 
         Router epoch first (shipment routing below resolves sources at the
         pre-boundary height, which is append-order independent), then the
-        per-shard store loads at the ``block_id - 1`` boundary, then the
-        worker-cache epoch bump (stale workers refuse with
-        ``StalePrepareError`` and get resynced). The armed
+        per-shard store loads at the ``block_id - 1`` boundary. The armed
         ``migration_hook`` may fate a shard's shipment ``"skip"`` (crashed
         before the delta arrived) or ``"torn"`` (crashed mid-apply) — those
         shards also crash per the fault plan, and recovery re-derives the
@@ -574,9 +495,6 @@ class ShardedBlockchain:
             engine.apply_migration(boundary, items)
             if fate is None:
                 self._store_mig_epochs[shard] = record.epoch
-        backend = self._prepare_backend
-        if backend is not None:
-            backend.apply_migration(record)
         tracer = self.tracer
         if tracer is not None:
             tracer.event(
@@ -599,16 +517,14 @@ class ShardedBlockchain:
             tracer.metrics.gauge("rebalance.epoch").set(record.epoch)
 
     def route_global_block(self, block, migration_barrier=None):
-        """The routing front half shared by the sequential driver, the
-        pipelined driver and the fault supervisor: decide/apply any due
-        migration, route every spec, feed the policy telemetry, log the
-        participant sets and split the block.
+        """The routing front half shared by the run driver and the fault
+        supervisor: decide/apply any due migration, route every spec, feed
+        the policy telemetry, log the participant sets and split the block.
 
         Returns ``(migration_record, participants, cross_tids,
-        sub_blocks)``. ``migration_barrier`` (pipelined driver, fault
-        supervisor) runs after a proposal is made but before the record is
-        built, so in-flight work can land and every store reaches the
-        boundary height first.
+        sub_blocks)``. ``migration_barrier`` (fault supervisor) runs after
+        a proposal is made but before the record is built, so in-flight
+        work can land and every store reaches the boundary height first.
         """
         migration = None
         policy = self.rebalance_policy
@@ -638,19 +554,13 @@ class ShardedBlockchain:
         sub_blocks = self.sequencer.split(block, participants)
         return migration, participants, cross_tids, sub_blocks
 
-    def process_global_block(
-        self,
-        block,
-        crash_after_prepare: frozenset = frozenset(),
-        fault_hook=None,
-    ) -> GlobalBlockOutcome:
+    def process_global_block(self, block, fault_hook=None) -> GlobalBlockOutcome:
         """Decision layer for one global block: route, split, prepare,
         exchange votes, certify, commit.
 
-        ``fault_hook`` (or the armed ``self.fault_hook``) generalizes the
-        crash flags into a fault point: called with the block id, it
-        returns ``None`` (no fault) or a ``(skip_prepare, skip_commit)``
-        pair of shard sets. Shards in ``skip_prepare`` die *before* the
+        ``fault_hook`` (or the armed ``self.fault_hook``) is the fault
+        point: called with the block id, it returns ``None`` (no fault) or
+        a ``(skip_prepare, skip_commit)`` pair of shard sets. Shards in ``skip_prepare`` die *before* the
         sub-block arrives (never logged, never voted — with the vote
         missing, the certificate's timeout degradation vetoes their
         cross-shard transactions); shards in ``skip_commit`` die between
@@ -658,20 +568,16 @@ class ShardedBlockchain:
         votes were cast, the certificate lands, but the shard never
         commits — its block log holds the input block, so recovery
         replays it under the certificate's recorded decisions.
-
-        ``crash_after_prepare`` is the deprecated spelling of that second
-        window (pre-fault-plan API), kept as a thin shim: it feeds
-        ``skip_commit`` directly.
         """
         skip_prepare: frozenset = frozenset()
-        skip_commit: frozenset = crash_after_prepare
+        skip_commit: frozenset = frozenset()
         hook = fault_hook if fault_hook is not None else self.fault_hook
         if hook is not None:
             directive = hook(block.block_id)
             if directive is not None:
                 before, after = directive
-                skip_prepare = skip_prepare | before
-                skip_commit = skip_commit | before | after
+                skip_prepare = before
+                skip_commit = before | after
         migration, participants, cross_tids, sub_blocks = self.route_global_block(
             block
         )
@@ -680,16 +586,7 @@ class ShardedBlockchain:
             self._trace_order(
                 tracer, block, cross_tids, sub_blocks, skip_prepare, skip_commit
             )
-        faulted = bool(skip_prepare or skip_commit)
-        if faulted:
-            # injected faults must fire in-process; stay serial until a
-            # rejoin resyncs the worker caches
-            self._suspend_backend()
-        backend = None if (faulted or hook is not None) else self._ensure_backend()
-        if backend is not None:
-            prepared = backend.prepare(sub_blocks, self.group.nodes)
-        else:
-            prepared = self.group.prepare(sub_blocks, skip=skip_prepare)
+        prepared = self.group.prepare(sub_blocks, skip=skip_prepare)
         if tracer is not None:
             self._trace_prepared(tracer, block.block_id, prepared)
 
@@ -714,24 +611,6 @@ class ShardedBlockchain:
         )
         if tracer is not None:
             self._trace_commits(tracer, block.block_id, executions)
-        if backend is not None:
-            backend.advance(
-                block.block_id,
-                [node.engine.writes_of(block.block_id) for node in self.group.nodes],
-            )
-        elif self._prepare_backend is not None:
-            # suspended window: record what each shard actually committed
-            # (None for crashed shards) so the rejoin resync re-ships only
-            # the stale stores instead of every worker cache
-            self._prepare_backend.advance_partial(
-                block.block_id,
-                [
-                    node.engine.writes_of(block.block_id)
-                    if node.engine.store.last_committed_block >= block.block_id
-                    else None
-                    for node in self.group.nodes
-                ],
-            )
         return GlobalBlockOutcome(
             block=block,
             participants=participants,
@@ -741,26 +620,17 @@ class ShardedBlockchain:
             executions=executions,
         )
 
-    def _pipelined_ready(self) -> bool:
-        """Whether the inter-block pipelined driver may run: requested,
-        process backend available, and a snapshot lag that legalizes
-        preparing block *i* before block *i-1*'s commit."""
-        return (
-            self.config.pipelined
-            and self.config.backend == "process"
-            and self._inter_block_enabled()
-            and self.config.harmony.effective_lag >= 2
-            and self.fault_hook is None
-            and self.vote_channel is None
-        )
-
     def run(self) -> RunMetrics:
-        if self._pipelined_ready():
-            from repro.parallel.pipeline import run_sharded_pipelined
-
-            return run_sharded_pipelined(self)
-        rng, state = self._begin_run()
         config = self.config
+        rng = SeededRng(config.seed, f"oe/{config.system}/{self.workload.name}")
+        state = _ShardedRunState(
+            metrics=RunMetrics(system=config.system, workload=self.workload.name),
+            interval=self.consensus.min_block_interval_us(
+                self._block_bytes(), config.num_replicas
+            ),
+            remote_round_us=self._remote_read_round_us(),
+            shard_timings=[[] for _ in range(config.num_shards)],
+        )
         retry_queue: list = []
         for i in range(config.num_blocks):
             retries = retry_queue[: config.block_size]
@@ -785,36 +655,7 @@ class ShardedBlockchain:
         return self._finish_run(state)
 
     # ------------------------------------------------- run bookkeeping
-    # The sequential loop above and the pipelined driver
-    # (repro.parallel.pipeline) share these, so the two paths can never
-    # drift in how a block's outcome is accounted.
-    def _begin_run(self):
-        config = self.config
-        rng = SeededRng(config.seed, f"oe/{config.system}/{self.workload.name}")
-        state = _ShardedRunState(
-            metrics=RunMetrics(system=config.system, workload=self.workload.name),
-            interval=self.consensus.min_block_interval_us(
-                self._block_bytes(), config.num_replicas
-            ),
-            remote_round_us=self._remote_read_round_us(),
-            shard_timings=[[] for _ in range(config.num_shards)],
-        )
-        return rng, state
-
-    def merged_view(self, block, participants, txns_by_shard: dict) -> list:
-        """One runtime record per transaction, from its coordinator shard
-        (lowest participant id). ``txns_by_shard`` maps shard -> txns."""
-        by_shard_tid = {
-            shard: {t.tid: t for t in txns} for shard, txns in txns_by_shard.items()
-        }
-        return [
-            by_shard_tid[min(participants[j])][block.first_tid + j]
-            for j in range(block.size)
-        ]
-
-    def _absorb_block(
-        self, state, i: int, outcome: GlobalBlockOutcome, merged_txns: list = None
-    ) -> list:
+    def _absorb_block(self, state, i: int, outcome: GlobalBlockOutcome) -> list:
         config = self.config
         block = outcome.block
         executions = outcome.executions
@@ -824,12 +665,14 @@ class ShardedBlockchain:
 
         # --- merged (global) view: one runtime record per transaction,
         # taken from its coordinator shard (lowest participant id).
-        if merged_txns is None:
-            merged_txns = self.merged_view(
-                block,
-                outcome.participants,
-                {shard: e.txns for shard, e in executions.items()},
-            )
+        by_shard_tid = {
+            shard: {t.tid: t for t in e.txns} for shard, e in executions.items()
+        }
+        participants = outcome.participants
+        merged_txns = [
+            by_shard_tid[min(participants[j])][block.first_tid + j]
+            for j in range(block.size)
+        ]
         state.merged_blocks.append((block.block_id, merged_txns))
 
         stats = BlockStats(block_id=block.block_id)
@@ -980,9 +823,6 @@ class ShardedBlockchain:
         metrics.extra["migrations"] = sum(
             1 for cert in self.cert_log.certificates() if cert.migration is not None
         )
-        metrics.extra["backend"] = (
-            "process" if self._prepare_backend is not None else "serial"
-        )
         tracer = self.tracer
         if tracer is not None:
             tracer.event(
@@ -1027,7 +867,7 @@ class ShardedBlockchain:
         per-shard states from (sub-blocks, certificates) alone — the
         sharded analogue of the paper's replica-consistency claim.
         """
-        from repro.parallel.replay import replay_group_serial
+        from repro.shard.recovery import replay_group_serial
 
         other = replay_group_serial(self, name_prefix="replica-1")
         return other.combined_state_hash() == self.group.combined_state_hash()

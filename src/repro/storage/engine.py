@@ -158,19 +158,6 @@ class StorageEngine:
         if self.checkpoints.incremental:
             self._delta_writes.append((block_id, list(items.items())))
 
-    def writes_of(self, block_id: int) -> list[tuple[object, object]]:
-        """The ordered writes installed for ``block_id``.
-
-        Fast path: the block just applied (the process-prepare backend
-        ships every committed block's writes to its workers right after
-        the commit). Older blocks fall back to the store's per-block
-        watermark walk.
-        """
-        last = self._last_block_writes
-        if last is not None and last[0] == block_id:
-            return last[1]
-        return self.store.writes_in_block(block_id)
-
     def log_block_input(self, block: object) -> float:
         """Logical logging: persist the input block before execution."""
         self.block_log.append(block)

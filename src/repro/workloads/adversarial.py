@@ -19,8 +19,8 @@ All three honour :class:`~repro.workloads.base.ShardAffinity` with the
 same partition-fold idiom as YCSB/SmallBank: every access stays in the
 transaction's home partition except one access sent to a second partition
 with probability ``cross_ratio``. Generation is a pure function of the
-RNG stream plus a per-instance transaction counter, and instances carry
-only plain data, so they pickle into process-pool prepare workers.
+RNG stream plus a per-instance transaction counter, so a reference
+replica rebuilt from the same seed regenerates the identical stream.
 """
 
 from __future__ import annotations

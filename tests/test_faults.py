@@ -10,8 +10,6 @@ full drill matrix (that lives in ``test_fault_drills.py`` behind the
   equivocation, and degrades missing votes to timeout vetoes;
 - the partition-degradation policy aborts deterministically instead of
   diverging;
-- the ``crash_after_prepare=`` kwarg shim and the generalizing fault hook
-  are decision-identical;
 - ``MVStore.writes_in_block``'s watermark index matches the naive
   every-chain walk (the satellite fix's differential).
 """
@@ -171,40 +169,6 @@ class TestVoteReconciliation:
         assert len(channel.deliver(votes, 2)) == 3  # shard 1 duplicated
         assert [v.shard_id for v in channel.deliver(votes, 3, attempt=0)] == [1]
         assert [v.shard_id for v in channel.deliver(votes, 3, attempt=2)] == [0, 1]
-
-
-class TestCrashShimEquivalence:
-    def test_kwarg_shim_matches_fault_hook(self):
-        """The deprecated ``crash_after_prepare=`` kwarg and the
-        generalizing fault hook take the identical code path: same
-        executions skipped, same certificate stream."""
-
-        def drive(crash_via_hook: bool):
-            chain = build_chain()
-            rng = SeededRng(chain.config.seed, "shim-equivalence")
-            skipped = None
-            for i in range(5):
-                block = chain.ordering.form_block(
-                    chain.workload.generate_block(chain.config.block_size, rng)
-                )
-                if i == 4:
-                    if crash_via_hook:
-                        hook = lambda bid: (frozenset(), frozenset({1}))
-                        outcome = chain.process_global_block(block, fault_hook=hook)
-                    else:
-                        outcome = chain.process_global_block(
-                            block, crash_after_prepare=frozenset({1})
-                        )
-                    skipped = set(outcome.executions)
-                else:
-                    chain.process_global_block(block)
-            return chain, skipped
-
-        via_kwarg, skipped_kwarg = drive(False)
-        via_hook, skipped_hook = drive(True)
-        assert skipped_kwarg == skipped_hook == {0}
-        assert via_kwarg.cert_log.head_hash == via_hook.cert_log.head_hash
-        assert via_kwarg.cert_log.verify_chain()
 
 
 class TestWritesInBlockDifferential:

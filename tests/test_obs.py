@@ -93,7 +93,7 @@ class TestTracer:
         tracer.stage("prepare", block=0, shard=1, sim_us=5.0)
         tracer.event("certify", block=0)
         tracer.fault("crash", block=0, shard=1)
-        tracer.anno("backend_submit", block=0, timing={"deltas": 3})
+        tracer.anno("run_summary", block=0, timing={"deltas": 3})
         assert [s.seq for s in tracer.spans] == [0, 1, 2, 3]
         assert [s.kind for s in tracer.spans] == [
             "stage", "event", "fault", "anno",
@@ -102,7 +102,7 @@ class TestTracer:
     def test_det_events_exclude_anno_and_timing(self):
         tracer = Tracer()
         tracer.stage("prepare", block=0, shard=0, timing={"sim_us": 99.0})
-        tracer.anno("backend_submit", block=0)
+        tracer.anno("run_summary", block=0)
         events = tracer.det_events()
         assert len(events) == 1
         assert "timing" not in events[0] and "seq" not in events[0]
@@ -110,13 +110,12 @@ class TestTracer:
 
     def test_digest_insensitive_to_annotations(self):
         """Different timing annotations and interleaved anno spans must not
-        move the deterministic digest — that is what lets serial and
-        process backends share one digest."""
+        move the deterministic digest."""
         a, b = Tracer(), Tracer()
         a.stage("prepare", block=0, shard=0, timing={"sim_us": 1.0})
         a.stage("commit", block=0, shard=0)
         b.stage("prepare", block=0, shard=0, timing={"sim_us": 2.0})
-        b.anno("backend_submit", block=0)
+        b.anno("run_summary", block=0)
         b.stage("commit", block=0, shard=0)
         assert a.det_digest() == b.det_digest()
         c = Tracer()
@@ -145,7 +144,7 @@ class TestAnalyze:
             ("prepare", "stage", 0, 0, 30.0),
             ("commit", "stage", 0, 0, 60.0),
             ("order", "event", 0, None, 10.0),
-            ("backend_submit", "anno", 0, None, 999.0),  # excluded
+            ("run_summary", "anno", 0, None, 999.0),  # excluded
         ])
         breakdown = stage_breakdown(spans)
         assert set(breakdown) == {"prepare", "commit", "order"}
@@ -192,26 +191,8 @@ class TestAnalyze:
 
 # ------------------------------------------------- determinism (the pin)
 class TestDeterminism:
-    @pytest.mark.parametrize("workload", ["smallbank", "adv-counter"])
-    @pytest.mark.parametrize("num_shards", [2, 4])
-    def test_serial_vs_process_det_stream_identical(self, workload, num_shards):
-        """The decision-relevant span stream is bit-identical whether
-        prepares run in-process or on the worker pool."""
-        kwargs = dict(
-            workload=workload,
-            num_shards=num_shards,
-            num_blocks=4,
-            block_size=10,
-        )
-        serial, serial_metrics = trace_run(backend="serial", **kwargs)
-        process, process_metrics = trace_run(backend="process", **kwargs)
-        assert process_metrics.extra["backend"] == "process"
-        assert serial_metrics.extra["backend"] == "serial"
-        assert serial.det_events() == process.det_events()
-        assert serial.det_digest() == process.det_digest()
-
     def test_seeded_runs_reproduce_full_spans(self):
-        """Same seed, same backend: the *entire* span stream (timing
+        """Same seed: the *entire* span stream (timing
         annotations included) reproduces bit-identically."""
         a, _ = trace_run(num_blocks=5, block_size=8)
         b, _ = trace_run(num_blocks=5, block_size=8)

@@ -13,8 +13,7 @@ Pins ISSUE 10's contracts:
   registered workload (hypothesis-sampled);
 - **migrated-run identities** — a run that actually re-keys replays
   bit-identically on a fresh replica from (sub-blocks + certificates)
-  alone, every shard recovers to the live state, and the serial and
-  process prepare backends agree;
+  alone, and every shard recovers to the live state;
 - **migration fence** — transactions touching an in-flight key at the
   re-key boundary abort deterministically with ``MIGRATION_FENCE``.
 """
@@ -27,15 +26,13 @@ from hypothesis import given, settings, strategies as st
 from repro.core.harmony import fence_migrated_keys
 from repro.obs.analyze import shard_skew
 from repro.obs.trace import KIND_STAGE, Span
-from repro.parallel.backend import available_cores
-from repro.parallel.replay import replay_group_serial
 from repro.shard.rebalance import (
     MigrationRecord,
     OwnershipTable,
     RebalancePolicy,
     migration_store_deltas,
 )
-from repro.shard.recovery import recover_shard_node
+from repro.shard.recovery import recover_shard_node, replay_group_serial
 from repro.shard.router import ShardRouter
 from repro.shard.system import ShardConfig, ShardedBlockchain
 from repro.storage.mvstore import MIGRATION_SEQ_BASE, MVStore, TOMBSTONE
@@ -339,26 +336,6 @@ class TestMigratedRunIdentities:
             recovery.node.state_hash() == chain.group.nodes[shard].state_hash()
         )
         assert recovery.node.ledger.verify_chain()
-
-    @pytest.mark.skipif(
-        available_cores() < 4, reason="needs >= 4 cores for the process pool"
-    )
-    def test_serial_and_process_backends_agree_across_migrations(self):
-        serial_chain, serial = run_chain(skewshift(), **AGGRESSIVE)
-        process_chain, process = run_chain(
-            skewshift(), backend="process", **AGGRESSIVE
-        )
-        try:
-            assert process.extra["migrations"] == serial.extra["migrations"]
-            assert process.extra["migrations"] >= 1
-            assert (
-                process.extra["decision_digest"]
-                == serial.extra["decision_digest"]
-            )
-            assert process.extra["state_hash"] == serial.extra["state_hash"]
-            assert process.extra["cert_head"] == serial.extra["cert_head"]
-        finally:
-            process_chain.close_backend()
 
 
 # --------------------------------------------------------- migration fence

@@ -8,6 +8,7 @@ from repro.chain.sov import SOVBlockchain, SOVConfig
 from repro.chain.system import OEBlockchain, OEConfig
 from repro.consensus.network import NetworkPreset
 from repro.core.harmony import HarmonyConfig
+from repro.shard.system import ShardConfig, ShardedBlockchain
 from repro.sim.costs import StorageProfile
 from repro.workloads.smallbank import SmallbankWorkload
 from repro.workloads.ycsb import YCSBWorkload
@@ -27,6 +28,28 @@ def sov_run(system, **overrides):
     defaults = dict(system=system, block_size=15, num_blocks=10)
     defaults.update(overrides)
     return SOVBlockchain(SOVConfig(**defaults), small_ycsb()).run()
+
+
+INVALID_CONFIGS = [
+    ("consensus", "pbft"),
+    ("block_size", 0),
+    ("num_blocks", -1),
+    ("num_replicas", 0),
+]
+
+
+@pytest.mark.parametrize("field, value", INVALID_CONFIGS)
+@pytest.mark.parametrize(
+    "config_cls, driver",
+    [(OEConfig, OEBlockchain), (ShardConfig, ShardedBlockchain)],
+    ids=["oe", "sharded"],
+)
+def test_invalid_config_fails_loudly(config_cls, driver, field, value):
+    """A config that would run as something else, or as an empty run,
+    raises at the boundary instead of reporting a throughput."""
+    overrides = {"num_blocks": 2, field: value}
+    with pytest.raises(ValueError, match=field if field != "consensus" else "pbft"):
+        driver(config_cls(**overrides), small_ycsb()).run()
 
 
 class TestOESystems:
