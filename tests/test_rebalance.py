@@ -337,6 +337,20 @@ class TestMigratedRunIdentities:
         )
         assert recovery.node.ledger.verify_chain()
 
+    def test_migrating_run_reruns_bit_identically(self):
+        """Migrations are decided from deterministic telemetry only, so a
+        seeded rerun re-keys the same keys at the same heights."""
+        first_chain, first = run_chain(skewshift(), **AGGRESSIVE)
+        second_chain, second = run_chain(skewshift(), **AGGRESSIVE)
+        assert first.extra["migrations"] >= 1
+        assert second.extra["migrations"] == first.extra["migrations"]
+        assert [c.migration for c in first_chain.cert_log.certificates()] == [
+            c.migration for c in second_chain.cert_log.certificates()
+        ]
+        assert second.extra["decision_digest"] == first.extra["decision_digest"]
+        assert second.extra["state_hash"] == first.extra["state_hash"]
+        assert second.extra["cert_head"] == first.extra["cert_head"]
+
 
 # --------------------------------------------------------- migration fence
 class TestMigrationFence:
