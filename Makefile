@@ -3,7 +3,7 @@
 
 PY := PYTHONPATH=src$(if $(PYTHONPATH),:$(PYTHONPATH)) python
 
-.PHONY: test conformance paper perf-smoke perf compare faults-smoke faults obs-smoke rebalance-smoke
+.PHONY: test conformance paper perf-smoke perf compare e2e-check faults-smoke faults obs-smoke rebalance-smoke
 
 # tier-1 verify: the whole default suite (perf/faults/tpcc markers
 # excluded by pytest.ini)
@@ -34,6 +34,17 @@ perf:
 # diff the two newest same-mode perf runs; fails on a speedup collapse
 compare:
 	$(PY) -m repro.bench --compare
+
+# end-to-end correctness gate: one minimal perfbench run per workload;
+# run.py exits 0 even when its gate fails, so the verdict is read from
+# the JSON object on its last output line
+E2E_WORKLOADS := ycsb-contended ycsb-hotspot tpcc-4shard
+e2e-check:
+	@for w in $(E2E_WORKLOADS); do \
+		out=$$(python3 perfbench/run.py --workload $$w --seed 1 --seconds 0 --trace 0) || exit 1; \
+		echo "$$out"; \
+		echo "$$out" | tail -n 1 | python3 -c 'import json, sys; sys.exit(0 if json.loads(sys.stdin.read()).get("correct") is True else "e2e-check: correctness gate failed")' || exit 1; \
+	done
 
 # fault-injection drills, quick and full
 faults-smoke:

@@ -516,8 +516,8 @@ def bench_reorder_reuse(block_size: int, num_keys: int, repeats: int, seed: int)
 
 
 def bench_false_aborts(block_size: int, num_keys: int, repeats: int, seed: int) -> dict:
-    """Per-block false-abort accounting: rebuild-per-abortee vs the shared
-    committed graph + per-abortee edge overlay."""
+    """Per-block false-abort accounting: a graph rebuild and DFS per abortee
+    vs one committed-graph closure plus a bitset test per abortee."""
     from repro.dcc.oracle import SerializabilityOracle
 
     block = make_block(block_size, num_keys, random.Random(seed), writes_per_txn=(3, 6))

@@ -48,6 +48,34 @@ from repro.txn.transaction import AbortReason, Txn
 NEG_INF = float("-inf")
 
 
+def bitset_closure(succ: list[int]) -> list[int]:
+    """Transitive closure of a graph given as per-node successor bitsets.
+
+    ``succ[i]`` has bit ``j`` set for every edge ``i -> j``; the result's
+    ``reach[i]`` has bit ``j`` set for every node reachable from ``i`` via
+    at least one edge (so ``i`` reaches itself iff it lies on a cycle).
+    Nodes are propagated in reverse index order, so when every edge points
+    to a higher index one pass closes the graph (a second confirms it); the
+    passes repeat to a fixpoint so backward edges, and the cycles they
+    form, still close exactly.
+    """
+    reach = list(succ)
+    changed = True
+    while changed:
+        changed = False
+        for i in range(len(succ) - 1, -1, -1):
+            acc = succ[i]
+            bits = succ[i]
+            while bits:
+                j = (bits & -bits).bit_length() - 1
+                acc |= reach[j]
+                bits &= bits - 1
+            if acc != reach[i]:
+                reach[i] = acc
+                changed = True
+    return reach
+
+
 @dataclass(frozen=True)
 class CommittedRecord:
     """What later blocks need to know about a committed transaction."""
@@ -395,10 +423,9 @@ class HarmonyValidator:
         The indexed path finds each key's readers through a point-read map
         plus a range stabbing index (instead of re-evaluating
         ``txn.reads(key)`` for every (key, txn) pair), then closes the
-        graph with per-node bitsets propagated in reverse witness order —
-        near reverse-topological, since apply-chain edges always point to
-        higher positions — iterating to a fixpoint so residual backward rw
-        edges (and any cycles they form) are still closed exactly.
+        graph with :func:`bitset_closure` — in witness order, which is near
+        topological, since apply-chain edges always point to higher
+        positions.
         """
         if not indexed:
             return HarmonyValidator._reachability_naive(committed)
@@ -425,25 +452,11 @@ class HarmonyValidator:
                     if writer_pos != pos:
                         edges[pos].add(writer_pos)
 
-        # Bitset closure: reach[i] = positions reachable from i via >= 1 edge.
         succ = [0] * n
         for i, outs in edges.items():
             for j in outs:
                 succ[i] |= 1 << j
-        reach = list(succ)
-        changed = True
-        while changed:
-            changed = False
-            for i in range(n - 1, -1, -1):
-                acc = succ[i]
-                bits = succ[i]
-                while bits:
-                    j = (bits & -bits).bit_length() - 1
-                    acc |= reach[j]
-                    bits &= bits - 1
-                if acc != reach[i]:
-                    reach[i] = acc
-                    changed = True
+        reach = bitset_closure(succ)
         closure: dict[int, frozenset] = {}
         for i in range(n):
             bits = reach[i]

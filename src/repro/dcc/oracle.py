@@ -21,15 +21,24 @@ Graph construction (multi-version semantics):
   did observe (wr);
 - range reads contribute the same edges for every key they cover.
 
-Cycle detection is an iterative three-colour DFS (no recursion limits); the
-test suite cross-checks it against :mod:`networkx`.
-"""
+False aborts are counted without building a graph per abortee. The
+committed graph is built once per block as per-node successor bitsets and
+closed once (:func:`~repro.core.validation.bitset_closure`). Hypothetically
+committing ``T`` only adds edges that touch ``T``, so (committed ∪ {T}) is
+cyclic exactly when the committed set already is, or when the reflexive
+closure of ``T``'s committed successors meets ``T``'s committed
+predecessors: one AND of two ints per abortee. A cyclic committed set
+therefore counts no false aborts at all.
 
+Cycle detection on explicit graphs is an iterative three-colour DFS (no
+recursion limits); the test suite cross-checks it against :mod:`networkx`.
+"""
 from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass, field
 
+from repro.core.validation import bitset_closure
 from repro.intervals import RangeIndex, SortedKeys, covers
 from repro.txn.transaction import Txn
 
@@ -111,16 +120,26 @@ class SerializabilityOracle:
     def count_false_aborts(txns: list[Txn], chain_order=None, indexed: bool = True) -> int:
         """Aborts that perfect intra-block scheduling could have avoided.
 
-        ``indexed=True`` (default) builds the committed-only graph and the
-        reader/writer indexes *once* and, per abortee, overlays only the
-        edges that hypothetically committing it would add — O(committed +
-        abortee footprint) instead of a full graph rebuild per abortee.
-        The overlay keeps the committed chain's consecutive ww edges that
-        inserting the abortee would split (``prev→next`` next to the new
-        ``prev→T→next``); those are transitively implied by the added
-        edges, so cycle-or-not is unchanged, and the count matches the
-        naive rebuild bit-for-bit (differential-tested). ``indexed=False``
-        retains the seed's per-abortee rebuild as the reference.
+        ``indexed=True`` (default) builds the committed-only graph once, as
+        successor bitsets over positions in the committed list: chain edges
+        from the sorted per-key writer chains, rw edges from each writer
+        key's point readers and the range readers stabbing it. One bitset
+        fixpoint closes it. If a committed node reaches itself, every
+        (committed ∪ {T}) graph is cyclic and the count is 0. Otherwise
+        ``T`` is a false abort iff the reflexive closure of its committed
+        successors misses all of its committed predecessors:
+
+        - successors: the chain-next writer of every key ``T`` writes, and
+          every committed updater of a key ``T`` reads or range-covers;
+        - predecessors: the chain-prev writer and every committed reader of
+          every key ``T`` writes (range readers are stabbed only when the
+          successors reach one of them, since no other can close a cycle).
+
+        The committed ``prev→next`` edge that ``T``'s insertion splits is
+        implied by ``prev→T→next``, so keeping it never changes the answer.
+        ``indexed=False`` retains the seed's per-abortee graph rebuild and
+        DFS as the reference; both counts are identical (differential-
+        tested).
         """
         order = chain_order or (lambda t: (t.min_out, t.tid))
         committed = [t for t in txns if t.committed]
@@ -135,75 +154,84 @@ class SerializabilityOracle:
                     false_count += 1
             return false_count
 
-        base = block_dependency_graph(committed, order)
-        # committed writer chains per key, in chain order, plus the sort
-        # keys an abortee's insertion position bisects on
-        writers: dict[object, list[Txn]] = {}
-        for txn in committed:
-            for key in txn.write_set:
-                writers.setdefault(key, []).append(txn)
-        chains: dict[object, tuple[list, list[Txn]]] = {}
-        for key, updaters in writers.items():
-            ordered = sorted(updaters, key=order)
-            chains[key] = ([order(t) for t in ordered], ordered)
-        writer_keys = SortedKeys(writers)
-        # committed readers: point reads by key + a stabbing index of ranges
-        point_readers: dict[object, list[int]] = {}
+        # Committed graph over positions in ``committed``, as successor
+        # bitsets, from the per-key writer chains in chain order (with the
+        # sort keys an abortee's insertion point bisects on) and each key's
+        # point readers plus a stabbing index of range readers.
+        sort_keys = [order(t) for t in committed]
+        writers: dict[object, list[int]] = {}
+        reader_bits: dict[object, int] = {}
         range_readers = RangeIndex()
-        for txn in committed:
+        range_bits = 0  # every committed range reader
+        for pos, txn in enumerate(committed):
+            bit = 1 << pos
+            for key in txn.write_set:
+                writers.setdefault(key, []).append(pos)
             for key in txn.read_set:
-                point_readers.setdefault(key, []).append(txn.tid)
+                reader_bits[key] = reader_bits.get(key, 0) | bit
             for start, end in txn.read_ranges:
-                range_readers.add(start, end, txn.tid)
+                range_readers.add(start, end, bit)
+                range_bits |= bit
+        succ = [0] * len(committed)
+        chains: dict[object, tuple[list, list[int]]] = {}
+        for key, positions in writers.items():
+            if len(positions) == 1:
+                ordered = positions
+                wbits = 1 << positions[0]
+            else:
+                ordered = sorted(positions, key=sort_keys.__getitem__)
+                wbits = 0
+                for pos in ordered:
+                    wbits |= 1 << pos
+                for earlier, later in zip(ordered, ordered[1:]):
+                    succ[earlier] |= 1 << later
+            chains[key] = ([sort_keys[pos] for pos in ordered], ordered)
+            # snapshot readers precede every other updater of the key (rw)
+            rbits = reader_bits.get(key, 0)
+            if range_bits:
+                for bit in range_readers.stab(key):
+                    rbits |= bit
+            while rbits:
+                low = rbits & -rbits
+                succ[low.bit_length() - 1] |= wbits & ~low
+                rbits ^= low
+
+        reach = bitset_closure(succ)
+        if any(bits >> pos & 1 for pos, bits in enumerate(reach)):
+            return 0  # the committed set is cyclic, so is committed ∪ {T}
+        reach = [bits | 1 << pos for pos, bits in enumerate(reach)]
+        # a chain's head reaches every updater of its key
+        updaters_reach = {key: reach[chain[1][0]] for key, chain in chains.items()}
+        writer_keys = SortedKeys(writers)
 
         false_count = 0
         for txn in abortees:
-            tid = txn.tid
             tkey = order(txn)
-            delta: dict[int, set[int]] = {tid: set()}
-
-            def _add(src: int, dst: int) -> None:
-                delta.setdefault(src, set()).add(dst)
-
+            after = 0  # reflexive reach of T's committed successors
+            before = 0  # T's committed predecessors
             for key in txn.write_set:
                 entry = chains.get(key)
                 if entry is not None:
                     order_keys, ordered = entry
                     pos = bisect_right(order_keys, tkey)
                     if pos > 0:
-                        _add(ordered[pos - 1].tid, tid)
+                        before |= 1 << ordered[pos - 1]
                     if pos < len(ordered):
-                        _add(tid, ordered[pos].tid)
-                # snapshot readers precede the hypothetical new updater
-                seen_readers = set()
-                for rtid in point_readers.get(key, ()):
-                    if rtid not in seen_readers:
-                        seen_readers.add(rtid)
-                        _add(rtid, tid)
-                for rtid in range_readers.stab(key):
-                    if rtid not in seen_readers:
-                        seen_readers.add(rtid)
-                        _add(rtid, tid)
+                        after |= reach[ordered[pos]]
+                # snapshot point readers precede the hypothetical new updater
+                before |= reader_bits.get(key, 0)
             # the abortee reads before every committed updater it covers
-            reads = txn.read_set
-            for key in reads:
-                entry = chains.get(key)
-                if entry is not None:
-                    for updater in entry[1]:
-                        if updater.tid != tid:
-                            _add(tid, updater.tid)
+            for key in txn.read_set:
+                after |= updaters_reach.get(key, 0)
             for start, end in txn.read_ranges:
                 for key in writer_keys.in_range(start, end):
-                    if key not in reads:
-                        for updater in chains[key][1]:
-                            if updater.tid != tid:
-                                _add(tid, updater.tid)
-
-            merged = dict(base)
-            for node, extra in delta.items():
-                existing = merged.get(node)
-                merged[node] = (existing | extra) if existing else extra
-            if not has_cycle(merged):
+                    after |= updaters_reach[key]
+            # range readers precede it too, but only reachable ones matter
+            if after & range_bits:
+                for key in txn.write_set:
+                    for bit in range_readers.stab(key):
+                        before |= bit
+            if not after & before:
                 false_count += 1
         return false_count
 

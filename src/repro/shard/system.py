@@ -99,6 +99,20 @@ class ShardConfig(OEConfig):
     #: reference the footprint bench compares against)
     scan_footprints: bool = True
 
+    def __post_init__(self) -> None:
+        """Also reject unknown routing and rebalancing modes, which would
+        otherwise run as hash routing and as static routing."""
+        super().__post_init__()
+        for name, allowed in (
+            ("router_policy", ("workload", "hash", "range")),
+            ("rebalance", ("off", "adaptive")),
+        ):
+            value = getattr(self, name)
+            if value not in allowed:
+                raise ValueError(
+                    f"{name} must be one of {'|'.join(allowed)}, got {value!r}"
+                )
+
 
 def build_router(config: ShardConfig, workload) -> ShardRouter:
     """The deterministic router for ``config``."""

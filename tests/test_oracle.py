@@ -104,6 +104,52 @@ class TestFalseAborts:
         txns = [txn_with(i, writes=[f"k{i}"]) for i in range(1, 4)]
         assert SerializabilityOracle.count_false_aborts(txns) == 0
 
+    @staticmethod
+    def _counts(txns, chain_order=None):
+        return {
+            SerializabilityOracle.count_false_aborts(
+                txns, chain_order=chain_order, indexed=indexed
+            )
+            for indexed in (True, False)
+        }
+
+    def test_cyclic_committed_set_counts_no_false_aborts(self):
+        """A cyclic committed set makes every hypothetical commit cyclic,
+        so even a footprint-disjoint abortee is not a false abort."""
+        t1 = txn_with(1, reads=["y"], writes=["x"])
+        t2 = txn_with(2, reads=["x"], writes=["y"])
+        harmless = txn_with(3, writes=["z"], committed=False)
+        assert not SerializabilityOracle.committed_is_serializable([t1, t2, harmless])
+        assert self._counts([t1, t2, harmless]) == {0}
+        assert self._counts([t1, t2, harmless], chain_order=lambda t: t.tid) == {0}
+
+    def test_cycle_through_committed_range_reader(self):
+        """The only edge into the abortee comes from a committed range
+        reader whose range covers the abortee's write."""
+        scanner = txn_with(1, writes=["a"])
+        scanner.read_ranges.append((("k", 0), ("k", 9)))
+        inside = txn_with(2, reads=["a"], writes=[("k", 5)], committed=False)
+        assert self._counts([scanner, inside]) == {0}
+        outside = txn_with(2, reads=["a"], writes=[("k", 20)], committed=False)
+        assert self._counts([scanner, outside]) == {1}
+
+    def test_abortee_inserted_mid_chain(self):
+        """An abortee whose chain position falls between two committed
+        writers of a key: it follows the first and precedes the second, and
+        the committed first->second edge it splits changes nothing."""
+
+        def block(abortee_reads):
+            first = txn_with(3, writes=["x", "w"])
+            last = txn_with(2, writes=["x", "y"])
+            middle = txn_with(1, reads=abortee_reads, writes=["x"], committed=False)
+            first.min_out, middle.min_out, last.min_out = 1, 2, 3
+            return [first, last, middle]
+
+        # middle -> last twice (chain and rw on y): acyclic only mid-chain
+        assert self._counts(block(["y"])) == {1}
+        # middle -> first (rw on w) closes first -> middle (chain)
+        assert self._counts(block(["w"])) == {0}
+
 
 class TestHistoryOracle:
     class _Apply:

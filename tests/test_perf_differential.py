@@ -244,6 +244,45 @@ class TestFalseAbortDifferential:
             )
             assert naive == fast
 
+    @pytest.mark.parametrize("run", ["ycsb", "ycsb-sov", "tpcc-2shard"])
+    def test_counts_identical_on_every_block_of_a_run(self, run, monkeypatch):
+        """Every block a driver measures, under the driver's own chain order
+        and under TID order (the SOV schemes' apply order)."""
+        from repro.chain.sov import SOVBlockchain, SOVConfig
+        from repro.chain.system import OEBlockchain, OEConfig
+        from repro.shard.system import ShardConfig, ShardedBlockchain
+        from repro.workloads import ShardAffinity, make_workload
+
+        measure = SerializabilityOracle.count_false_aborts
+        blocks = []
+
+        def checked(txns, chain_order=None, indexed=True):
+            for order in (chain_order, lambda t: t.tid):
+                naive = measure(txns, chain_order=order, indexed=False)
+                assert measure(txns, chain_order=order, indexed=True) == naive
+            blocks.append(sum(1 for t in txns if t.aborted))
+            return measure(txns, chain_order=chain_order, indexed=indexed)
+
+        monkeypatch.setattr(
+            SerializabilityOracle, "count_false_aborts", staticmethod(checked)
+        )
+        sizes = dict(block_size=40, num_blocks=8)
+        if run == "ycsb":
+            OEBlockchain(
+                OEConfig(**sizes), make_workload("ycsb", profile="conformance")
+            ).run()
+        elif run == "ycsb-sov":
+            SOVBlockchain(
+                SOVConfig(**sizes), make_workload("ycsb", profile="conformance")
+            ).run()
+        else:
+            workload = make_workload(
+                "tpcc", profile="conformance", affinity=ShardAffinity(2, 0.5)
+            )
+            ShardedBlockchain(ShardConfig(num_shards=2, **sizes), workload).run()
+        assert len(blocks) == sizes["num_blocks"]
+        assert sum(blocks) > 0  # the runs abort, so the paths are exercised
+
 
 class TestGcDifferential:
     """Watermarked gc vs the seed's every-chain walk."""

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import re
+
 import pytest
 
 from repro.chain.sov import SOVBlockchain, SOVConfig
@@ -50,6 +52,21 @@ def test_invalid_config_fails_loudly(config_cls, driver, field, value):
     overrides = {"num_blocks": 2, field: value}
     with pytest.raises(ValueError, match=field if field != "consensus" else "pbft"):
         driver(config_cls(**overrides), small_ycsb()).run()
+
+
+SHARD_INVALID_CONFIGS = [
+    ("router_policy", "bogus", "workload|hash|range"),
+    ("rebalance", "adaptiv", "off|adaptive"),
+]
+
+
+@pytest.mark.parametrize("field, value, allowed", SHARD_INVALID_CONFIGS)
+def test_invalid_shard_config_fails_loudly(field, value, allowed):
+    """An unknown routing or rebalancing mode raises and names the allowed
+    values instead of running as hash routing or without rebalancing."""
+    message = re.escape(f"{field} must be one of {allowed}")
+    with pytest.raises(ValueError, match=message):
+        ShardedBlockchain(ShardConfig(num_blocks=2, **{field: value}), small_ycsb()).run()
 
 
 class TestOESystems:
