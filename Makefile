@@ -3,7 +3,7 @@
 
 PY := PYTHONPATH=src$(if $(PYTHONPATH),:$(PYTHONPATH)) python
 
-.PHONY: test conformance paper perf-smoke perf compare e2e-check faults-smoke faults obs-smoke rebalance-smoke
+.PHONY: test conformance paper perf-smoke perf compare e2e-check faults-smoke faults obs-smoke rebalance-smoke examples
 
 # tier-1 verify: the whole default suite (perf/faults/tpcc markers
 # excluded by pytest.ini)
@@ -64,3 +64,11 @@ obs-smoke:
 rebalance-smoke:
 	$(PY) -m repro.faults --smoke --workloads adv-skewshift
 	$(PY) -m pytest tests/test_rebalance.py -q
+
+# the runnable examples end to end (~5s); any non-zero exit fails
+EXAMPLES := $(wildcard examples/*.py)
+examples:
+	@for f in $(EXAMPLES); do \
+		echo "== $$f"; \
+		$(PY) $$f > /dev/null || { echo "examples: $$f failed"; exit 1; }; \
+	done

@@ -20,7 +20,7 @@ from repro.chain.node import ReplicaNode
 from repro.chain.ordering import OrderingService
 from repro.chain.recovery import recover_node
 from repro.chain.sov import SOVBlockchain, SOVConfig
-from repro.chain.system import OEBlockchain, OEConfig, build_system
+from repro.chain.system import OEBlockchain, OEConfig
 
 __all__ = [
     "Block",
@@ -33,6 +33,5 @@ __all__ = [
     "SOVBlockchain",
     "SOVConfig",
     "TamperError",
-    "build_system",
     "recover_node",
 ]

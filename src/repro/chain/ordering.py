@@ -70,13 +70,17 @@ class ShardSequencer:
         ``participants[i]`` is the set of shard ids transaction *i* runs on
         (every shard owning a key it statically touches). A cross-shard
         transaction appears in each participant's sub-block under the same
-        global TID.
+        global TID. With one shard, the shard hosts every transaction and
+        its sub-block is the signed global block itself.
         """
         if len(participants) != len(block.specs):
             raise ValueError(
                 f"block {block.block_id}: {len(participants)} assignments "
                 f"for {len(block.specs)} specs"
             )
+        if self.num_shards == 1:
+            self._prev_hashes[0] = block.hash
+            return {0: block}
         per_shard: dict[int, Block] = {}
         for shard in range(self.num_shards):
             specs = []

@@ -167,30 +167,25 @@ class Tracer:
         return det_digest(self.spans)
 
 
-def _arm_node(node, tracer: Tracer, shard: int | None) -> None:
+def _arm_node(node, tracer: Tracer, shard: int) -> None:
     manager = node.engine.checkpoints
     manager.tracer = tracer
     manager.trace_shard = shard
 
 
 def attach_tracer(chain, tracer: Tracer) -> Tracer:
-    """Arm ``tracer`` on every hook of an (un)sharded chain.
+    """Arm ``tracer`` on every hook of a
+    :class:`~repro.shard.system.ShardedBlockchain`.
 
     Wires the chain itself, the certificate log and every node's
     checkpoint manager (re-armed on rejoin, so recovered shards keep
     tracing).
     """
     chain.tracer = tracer
-    cert_log = getattr(chain, "cert_log", None)
-    if cert_log is not None:
-        cert_log.tracer = tracer
-    group = getattr(chain, "group", None)
-    if group is not None:
-        for shard, node in enumerate(group.nodes):
-            _arm_node(node, tracer, shard)
-        group.rejoin_listeners.append(
-            lambda shard, node: _arm_node(node, tracer, shard)
-        )
-    else:
-        _arm_node(chain.node, tracer, None)
+    chain.cert_log.tracer = tracer
+    for shard, node in enumerate(chain.group.nodes):
+        _arm_node(node, tracer, shard)
+    chain.group.rejoin_listeners.append(
+        lambda shard, node: _arm_node(node, tracer, shard)
+    )
     return tracer

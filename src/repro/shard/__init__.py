@@ -55,21 +55,20 @@ round in their simulated duration and each sub-block with cross-shard
 members pays a vote-exchange round, both priced through the
 :class:`~repro.consensus.network.NetworkModel`.
 
-With ``num_shards=1`` every mechanism above collapses to the unsharded
-pipeline and :class:`ShardedBlockchain` is decision-identical to
-:class:`~repro.chain.system.OEBlockchain` — the invariant the test suite
-pins on all three workloads.
+With ``num_shards=1`` every mechanism above collapses to one replica's
+plain pipeline: each participant set is ``{0}``, the signed global block
+is shard 0's sub-block, the initial state is not re-partitioned and no
+vote crosses the wire. :class:`ShardedBlockchain` is therefore the one
+Order-Execute driver, and :func:`~repro.chain.system.OEBlockchain`
+builds it at one shard. ``tests/test_shard.py`` pins its one-shard
+decisions, state hashes, makespans and p99 latencies on three workloads
+and all four protocols.
 """
 
 from repro.shard.federated import FederatedSnapshot
 from repro.shard.recovery import ShardRecovery, recover_shard_node
 from repro.shard.router import ShardRouter
-from repro.shard.system import (
-    ShardConfig,
-    ShardedBlockchain,
-    ShardGroup,
-    build_sharded_system,
-)
+from repro.shard.system import ShardConfig, ShardedBlockchain, ShardGroup
 from repro.shard.twopc import (
     CertificateLog,
     CommitCertificate,
@@ -91,7 +90,6 @@ __all__ = [
     "ShardVote",
     "ShardedBlockchain",
     "VoteChannel",
-    "build_sharded_system",
     "decide",
     "recover_shard_node",
     "make_certificate",

@@ -17,9 +17,17 @@ lane — under a single global ordering service. Per global block:
 4. every shard *commits*, honouring the certificate's vetoes and
    installing only the writes it owns.
 
-With ``num_shards=1`` every hook degenerates to the unsharded pipeline
-(no federation, no scope, no votes) and the run is decision-identical to
-:class:`~repro.chain.system.OEBlockchain` on the same seed.
+Each run is priced: the consensus model (Kafka or HotStuff)
+paces block arrivals, each shard's scheduler lane turns task durations
+into makespan, latency and CPU utilization (with inter-block parallelism
+iff Harmony enables it), and the serializability oracle counts false
+aborts per global block (Figure 13).
+
+This is the one Order-Execute driver.
+:func:`~repro.chain.system.OEBlockchain` builds it with ``num_shards=1``,
+where every hook degenerates to one replica's plain pipeline: routing,
+splitting and the initial-state partition short-circuit on the shard
+count, no store is federated, no key is scoped and no vote is exchanged.
 """
 
 from __future__ import annotations
@@ -28,13 +36,7 @@ from dataclasses import dataclass
 
 from repro.chain.node import ReplicaNode
 from repro.chain.ordering import OrderingService, ShardSequencer
-from repro.chain.system import (
-    COMMAND_BYTES,
-    OEConfig,
-    append_block_latencies,
-    build_executor,
-    decision_digest,
-)
+from repro.chain.system import OEConfig, build_executor, decision_digest
 from repro.consensus.crypto import Signer
 from repro.consensus.hotstuff import HotStuffConsensus
 from repro.consensus.kafka import KafkaOrdering
@@ -57,6 +59,16 @@ from repro.storage.mvstore import combine_state_hashes
 from repro.storage.wal import LogMode
 from repro.txn.transaction import AbortReason
 
+#: bytes shipped per transaction command in an OE block (vs the ~1.5 KB
+#: endorsed read-write sets SOV ships — the Figures 15/16 asymmetry)
+COMMAND_BYTES = 128
+#: bytes of one batched remote-read round (request + values)
+CROSS_READ_BYTES = 256
+#: bytes of one prepare vote on the wire
+VOTE_BYTES = 64
+#: the participant set of every transaction at one shard
+ONLY_SHARD = frozenset({0})
+
 
 @dataclass
 class ShardConfig(OEConfig):
@@ -69,13 +81,6 @@ class ShardConfig(OEConfig):
     router_policy: str = "workload"
     #: explicit split points for ``router_policy="range"``
     range_boundaries: tuple = ()
-    #: core budget of each shard's replica (scale-out: every shard is its
-    #: own machine group); ``None`` = same budget as the unsharded replica
-    cores_per_shard: int | None = None
-    #: bytes of one batched remote-read round (request + values)
-    cross_read_bytes: int = 256
-    #: bytes of one prepare vote on the wire
-    vote_bytes: int = 64
     #: retain per-block executions + merged transactions (tests/oracles)
     keep_history: bool = False
     #: live re-keying: ``"off"`` pins the epoch-0 static routing; ``"adaptive"``
@@ -101,8 +106,13 @@ class ShardConfig(OEConfig):
 
     def __post_init__(self) -> None:
         """Also reject unknown routing and rebalancing modes, which would
-        otherwise run as hash routing and as static routing."""
+        otherwise run as hash routing and as static routing, and serial
+        execution across shards: serial reads its in-block predecessors,
+        which only exist on the shard that executed them, so it has no
+        deterministic federation."""
         super().__post_init__()
+        if self.system == "serial" and self.num_shards > 1:
+            raise ValueError("serial execution does not support num_shards > 1")
         for name, allowed in (
             ("router_policy", ("workload", "hash", "range")),
             ("rebalance", ("off", "adaptive")),
@@ -300,10 +310,6 @@ class ShardedBlockchain:
     """N partitioned OE pipelines with deterministic cross-shard commit."""
 
     def __init__(self, config: ShardConfig, workload) -> None:
-        if config.system == "serial" and config.num_shards > 1:
-            # serial reads its in-block predecessors, which only exist on
-            # the shard that executed them — no deterministic federation.
-            raise ValueError("serial execution does not support num_shards > 1")
         self.config = config
         self.workload = workload
         self.costs = CostModel()
@@ -363,13 +369,10 @@ class ShardedBlockchain:
     def _inter_block_enabled(self) -> bool:
         return self.config.system == "harmony" and self.config.harmony.inter_block
 
-    def _cores_per_shard(self) -> int:
-        return self.config.cores_per_shard or self.config.cores
-
     def _remote_read_round_us(self) -> float:
         """One batched remote-read exchange of a cross-shard simulation."""
         return self.network.rtt_us(self.config.num_shards) + self.network.transfer_us(
-            self.config.cross_read_bytes
+            CROSS_READ_BYTES
         )
 
     def _vote_exchange_us(self, num_cross_local: int) -> float:
@@ -377,7 +380,7 @@ class ShardedBlockchain:
         return 2.0 * self.network.worst_one_way_us(
             self.config.num_shards
         ) + self.network.broadcast_us(
-            self.config.vote_bytes * num_cross_local, self.config.num_shards - 1
+            VOTE_BYTES * num_cross_local, self.config.num_shards - 1
         )
 
     # -------------------------------------------------------------- tracing
@@ -554,6 +557,8 @@ class ShardedBlockchain:
                 parts, routed = self.router.route_spec(self.workload, spec)
                 participants.append(parts)
                 policy.observe_txn(routed, parts)
+        elif self.config.num_shards == 1:
+            participants = [ONLY_SHARD] * block.size
         else:
             participants = [
                 self.router.participants_of(self.workload, spec)
@@ -796,12 +801,12 @@ class ShardedBlockchain:
     def _finish_run(self, state) -> RunMetrics:
         metrics = state.metrics
         # --- timing: one pipeline lane per shard, merged into one timeline.
-        lag = self.config.harmony.snapshot_lag if self._inter_block_enabled() else 2
+        # the snapshot lag only matters with inter-block parallelism
         results = [
             PipelineSimulator(
-                num_cores=self._cores_per_shard(),
+                num_cores=self.config.cores,
                 inter_block=self._inter_block_enabled(),
-                snapshot_lag=lag,
+                snapshot_lag=self.config.harmony.snapshot_lag,
             ).simulate(timings)
             for timings in state.shard_timings
         ]
@@ -809,14 +814,19 @@ class ShardedBlockchain:
 
         metrics.sim_time_us = merged_result.makespan_us
         metrics.cpu_utilization = merged_result.cpu_utilization
-        append_block_latencies(
-            metrics,
-            merged_result.commit_finish_us,
-            state.interval,
-            self._consensus_latency_us(),
-            self.network.worst_one_way_us(self.config.num_replicas),
-            state.per_block_committed,
-        )
+        # per-block service latency of every committed transaction, backlog
+        # excluded: what a client observes at sustainable load — consensus,
+        # execution from the moment the lanes could start the block, and
+        # the reply hop
+        commit_finish = merged_result.commit_finish_us
+        consensus_us = self._consensus_latency_us()
+        reply_us = self.network.worst_one_way_us(self.config.num_replicas)
+        for i, committed in enumerate(state.per_block_committed):
+            started = i * state.interval
+            if i > 0:
+                started = max(started, commit_finish[i - 1])
+            latency = consensus_us + (commit_finish[i] - started) + reply_us
+            metrics.latencies_us.extend([latency] * committed)
 
         for node in self.group.nodes:
             engine = node.engine
@@ -824,8 +834,9 @@ class ShardedBlockchain:
             metrics.io_writes += engine.io_writes
             metrics.buffer_hits += engine.buffer_hits
             metrics.buffer_misses += engine.buffer_misses
-        metrics.extra["state_hash"] = self.group.combined_state_hash()
-        metrics.extra["shard_state_hashes"] = self.group.state_hashes()
+        shard_hashes = self.group.state_hashes()
+        metrics.extra["state_hash"] = combine_state_hashes(shard_hashes)
+        metrics.extra["shard_state_hashes"] = shard_hashes
         metrics.extra["ledger_ok"] = self.group.ledgers_ok()
         metrics.extra["decision_digest"] = decision_digest(state.merged_blocks)
         metrics.extra["num_shards"] = self.config.num_shards
@@ -895,11 +906,6 @@ class ShardedBlockchain:
                 if not vote.commit and vote.reason:
                     reasons[vote.reason] = reasons.get(vote.reason, 0) + 1
         return reasons
-
-
-def build_sharded_system(config: ShardConfig, workload) -> ShardedBlockchain:
-    """Convenience constructor matching :func:`repro.chain.system.build_system`."""
-    return ShardedBlockchain(config, workload)
 
 
 # re-exported for callers that reason about forced aborts

@@ -33,6 +33,7 @@ def sov_run(system, **overrides):
 
 
 INVALID_CONFIGS = [
+    ("system", "bogus"),
     ("consensus", "pbft"),
     ("block_size", 0),
     ("num_blocks", -1),
@@ -41,32 +42,43 @@ INVALID_CONFIGS = [
 
 
 @pytest.mark.parametrize("field, value", INVALID_CONFIGS)
-@pytest.mark.parametrize(
-    "config_cls, driver",
-    [(OEConfig, OEBlockchain), (ShardConfig, ShardedBlockchain)],
-    ids=["oe", "sharded"],
-)
-def test_invalid_config_fails_loudly(config_cls, driver, field, value):
-    """A config that would run as something else, or as an empty run,
-    raises at the boundary instead of reporting a throughput."""
+@pytest.mark.parametrize("config_cls", [OEConfig, ShardConfig], ids=["oe", "sharded"])
+def test_invalid_config_fails_loudly(config_cls, field, value):
+    """A config that would run as something else, name no executor or run
+    empty raises at construction, before any driver is built."""
     overrides = {"num_blocks": 2, field: value}
     with pytest.raises(ValueError, match=field if field != "consensus" else "pbft"):
-        driver(config_cls(**overrides), small_ycsb()).run()
+        config_cls(**overrides)
 
 
 SHARD_INVALID_CONFIGS = [
-    ("router_policy", "bogus", "workload|hash|range"),
-    ("rebalance", "adaptiv", "off|adaptive"),
+    ({"router_policy": "bogus"}, "router_policy must be one of workload|hash|range"),
+    ({"rebalance": "adaptiv"}, "rebalance must be one of off|adaptive"),
+    (
+        {"system": "serial", "num_shards": 2},
+        "serial execution does not support num_shards > 1",
+    ),
 ]
 
 
-@pytest.mark.parametrize("field, value, allowed", SHARD_INVALID_CONFIGS)
-def test_invalid_shard_config_fails_loudly(field, value, allowed):
-    """An unknown routing or rebalancing mode raises and names the allowed
-    values instead of running as hash routing or without rebalancing."""
-    message = re.escape(f"{field} must be one of {allowed}")
-    with pytest.raises(ValueError, match=message):
-        ShardedBlockchain(ShardConfig(num_blocks=2, **{field: value}), small_ycsb()).run()
+@pytest.mark.parametrize(
+    "overrides, message",
+    SHARD_INVALID_CONFIGS,
+    ids=["router_policy", "rebalance", "serial-multi-shard"],
+)
+def test_invalid_shard_config_fails_loudly(overrides, message):
+    """An unknown routing or rebalancing mode raises at construction and
+    names the allowed values instead of running as hash routing or without
+    rebalancing; so does serial execution across shards."""
+    with pytest.raises(ValueError, match=re.escape(message)):
+        ShardConfig(num_blocks=2, **overrides)
+
+
+def test_adaptive_rebalance_accepted_at_one_shard():
+    """The fault-drill matrix builds adaptive configs at every shard count,
+    one included; the policy is simply not armed there."""
+    config = ShardConfig(num_blocks=2, num_shards=1, rebalance="adaptive")
+    assert ShardedBlockchain(config, small_ycsb()).rebalance_policy is None
 
 
 class TestOESystems:
